@@ -25,13 +25,18 @@ race:
 	$(GO) test -race -tags invariants -timeout 1200s $(RACE_PKGS)
 	$(GO) test -race -tags invariants -timeout 1200s -run 'Stress|CrashConcurrent' .
 
-## crash: fault-injection crash-recovery matrix (every crash point, torn writes)
+## crash: fault-injection crash-recovery matrix (every crash point, torn
+## writes) plus the storage-level delta-vs-full-image replay property
 crash:
-	$(GO) test -run Crash -tags invariants -v .
+	$(GO) test -run Crash -tags invariants -v . ./internal/storage
 
 ## fuzz: parser round-trip fuzz smoke (parse -> print -> parse identity)
+## and WAL replay fuzz smoke (arbitrary log bytes never panic, never apply
+## a batch without its commit record; inputs hold 8 KiB page images, so
+## minimization is capped or it eats the whole budget)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 20s ./internal/sql
+	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/storage
 
 ## obs-smoke: run a reduced experiment sweep and fail if any required
 ## engine counter (pager, txn, planner, ODCI fetch, parallel exec,

@@ -109,3 +109,68 @@ func TestCrashConcurrentSegmentedMatrix(t *testing.T) {
 		runConcurrentCrashPoint(t, crashSegBytes, point, fault.CrashTorn, fmt.Sprintf("seg-concurrent-torn@%d", point))
 	}
 }
+
+// crashTinySegBytes is below the size of any record, delta records
+// included (a 17-byte header, the page id and at least one range), so
+// with it every delta record straddles at least one segment boundary —
+// the case crashSegBytes only produces for page images.
+const crashTinySegBytes = 24
+
+// TestCrashSegmentedDeltaStraddles repeats the power-fail sweep, clean
+// and torn, over segments so small that the byte-range delta records
+// span them too. The control run first proves the workload logs deltas
+// at all: otherwise the sweep would only re-test full images.
+func TestCrashSegmentedDeltaStraddles(t *testing.T) {
+	media := newCrashMedia(crashTinySegBytes)
+	db, err := extdb.Open(extdb.Options{Backend: media.backend, WALSink: media.sink, CacheSizePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	for _, st := range crashSteps() {
+		if err := st.run(db, s); err != nil {
+			t.Fatalf("control run, step %s: %v", st.name, err)
+		}
+	}
+	st := db.Metrics().Pager
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if deltas := st.WALPages - st.WALFullPages; deltas < 10 || st.WALFullPages == 0 || st.WALDeltaBytes == 0 {
+		t.Fatalf("workload logged %d page records, %d full, %d delta bytes: not a delta workload", st.WALPages, st.WALFullPages, st.WALDeltaBytes)
+	}
+
+	_, _, bounds := runPassive(t, crashTinySegBytes)
+	total := bounds[len(bounds)-1]
+	for point := 1; point <= total; point++ {
+		runCrashPoint(t, crashTinySegBytes, point, fault.Crash, fmt.Sprintf("tinyseg-crash@%d", point))
+		runCrashPoint(t, crashTinySegBytes, point, fault.CrashTorn, fmt.Sprintf("tinyseg-torn@%d", point))
+	}
+}
+
+// TestCrashSegmentedRecycleBetweenImageAndDelta puts a recycle point
+// between a page's full image and a later delta: the Docs heap page is
+// imaged before the workload's checkpoint step, the checkpoint retires
+// that log, and the steps after it touch the page twice more — which
+// must log a fresh full image and then a delta against it, not a delta
+// against the image the recycled chain held. The closing checkpoint's
+// page-file sync is then torn; recovery has only the post-recycle log to
+// repair the page file from.
+func TestCrashSegmentedRecycleBetweenImageAndDelta(t *testing.T) {
+	_, _, bounds := runPassive(t, crashSegBytes)
+	steps := crashSteps()
+	// Close's checkpoint ends with: page-file sync, log reset. (Close adds
+	// no fault-eligible op after its checkpoint.)
+	point := bounds[len(bounds)-1] - 1
+
+	media := newCrashMedia(crashSegBytes)
+	inj := fault.NewInjector().Set(point, fault.CrashTorn)
+	m, _, failed, err := runWorkload(t, media, inj)
+	if failed != len(steps) || !errors.Is(err, fault.ErrCrashed) {
+		t.Fatalf("crash landed in step %d with %v, want power loss in Close (step %d)", failed, err, len(steps))
+	}
+	info := verifyDurable(t, media, m, "recycle-between-image-and-delta")
+	if info.PagesRepaired == 0 || info.DeltasApplied == 0 {
+		t.Fatalf("recovery after the torn closing checkpoint: %+v, want repaired pages rebuilt from images and deltas", info)
+	}
+}

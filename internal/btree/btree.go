@@ -174,6 +174,7 @@ func (t *BTree) store(n *node) error {
 	if err != nil {
 		return err
 	}
+	t.pager.WillWrite(pg)
 	for i := range pg.Data {
 		pg.Data[i] = 0
 	}
@@ -188,6 +189,7 @@ func (t *BTree) setRoot(id storage.PageID) error {
 	if err != nil {
 		return err
 	}
+	t.pager.WillWrite(pg)
 	binary.BigEndian.PutUint32(pg.Data[0:4], uint32(id))
 	t.pager.Unpin(pg, true)
 	return nil

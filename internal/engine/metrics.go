@@ -194,6 +194,8 @@ func (m *Metrics) Merge(o Metrics) {
 	m.Pager.Allocs += o.Pager.Allocs
 	m.Pager.WALRecords += o.Pager.WALRecords
 	m.Pager.WALPages += o.Pager.WALPages
+	m.Pager.WALFullPages += o.Pager.WALFullPages
+	m.Pager.WALDeltaBytes += o.Pager.WALDeltaBytes
 	m.Pager.WALCommits += o.Pager.WALCommits
 	m.Pager.WALBytes += o.Pager.WALBytes
 	m.Pager.WALSyncs += o.Pager.WALSyncs
@@ -258,6 +260,7 @@ func (m Metrics) String() string {
 	}
 	fmt.Fprintf(&b, "wal:     records=%d pages=%d commits=%d bytes=%d syncs=%d\n",
 		m.Pager.WALRecords, m.Pager.WALPages, m.Pager.WALCommits, m.Pager.WALBytes, m.Pager.WALSyncs)
+	fmt.Fprintf(&b, "         fullPages=%d deltaBytes=%d\n", m.Pager.WALFullPages, m.Pager.WALDeltaBytes)
 	if m.Pager.WALSyncs > 0 {
 		fmt.Fprintf(&b, "         groupedCommits=%d commitsPerFsync=%.2f\n",
 			m.Pager.WALGroupedCommits, float64(m.Pager.WALGroupedCommits)/float64(m.Pager.WALSyncs))

@@ -209,6 +209,7 @@ func (db *DB) writeSnapshotChain() error {
 			if err != nil {
 				return err
 			}
+			db.pager.WillWrite(ppg)
 			binary.BigEndian.PutUint32(ppg.Data[0:4], uint32(id))
 			db.pager.Unpin(ppg, true)
 		} else {
@@ -223,6 +224,7 @@ func (db *DB) writeSnapshotChain() error {
 	if err != nil {
 		return err
 	}
+	db.pager.WillWrite(pg)
 	binary.BigEndian.PutUint32(pg.Data[8:12], uint32(head))
 	db.pager.Unpin(pg, true)
 	return nil

@@ -151,6 +151,7 @@ func (x *Index) Truncate() error {
 	if err != nil {
 		return err
 	}
+	x.pager.WillWrite(dirPg)
 	for i, b := range x.buckets {
 		if err := b.Truncate(); err != nil {
 			x.pager.Unpin(dirPg, true)

@@ -213,6 +213,7 @@ func (h *lobHandle) Truncate(size int64) error {
 		if err != nil {
 			return err
 		}
+		h.store.pager.WillWrite(pg)
 		for i := size % storage.PageSize; i < storage.PageSize; i++ {
 			pg.Data[i] = 0
 		}
@@ -285,6 +286,7 @@ func (h *lobHandle) WriteAt(p []byte, off int64) (int, error) {
 			h.store.mu.Unlock()
 			return n, err
 		}
+		h.store.pager.WillWrite(pg)
 		c := copy(pg.Data[inPage:], p[n:])
 		h.store.pager.Unpin(pg, true)
 		n += c

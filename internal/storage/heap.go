@@ -158,6 +158,7 @@ func (h *Heap) insertRecord(rec []byte) (RID, error) {
 	if err != nil {
 		return NilRID, err
 	}
+	h.pager.WillWrite(lp)
 	setPageNext(lp.Data, pg.ID)
 	h.pager.Unpin(lp, true)
 	h.pages = append(h.pages, pg.ID)
@@ -169,6 +170,7 @@ func (h *Heap) tryInsertOn(id PageID, rec []byte) (RID, bool, error) {
 	if err != nil {
 		return NilRID, false, err
 	}
+	h.pager.WillWrite(pg)
 	slot, err := pageInsert(pg.Data, rec)
 	if err == errPageFull {
 		free, _ := pageFreeSpace(pg.Data)
@@ -198,6 +200,7 @@ func (h *Heap) InsertAt(rid RID, row []byte) error {
 	if err != nil {
 		return err
 	}
+	h.pager.WillWrite(pg)
 	defer func() {
 		free, _ := pageFreeSpace(pg.Data)
 		h.freeBytes[rid.Page] = free
@@ -368,6 +371,7 @@ func (h *Heap) clearSlot(rid RID) error {
 	if err != nil {
 		return err
 	}
+	h.pager.WillWrite(pg)
 	err = pageDelete(pg.Data, int(rid.Slot))
 	if err == nil {
 		free, _ := pageFreeSpace(pg.Data)
@@ -396,6 +400,7 @@ func (h *Heap) Update(rid RID, row []byte) error {
 	if err != nil {
 		return err
 	}
+	h.pager.WillWrite(pg)
 	ok, err := pageReplace(pg.Data, int(home.Slot), rec)
 	if err != nil {
 		h.pager.Unpin(pg, false)
@@ -430,6 +435,7 @@ func (h *Heap) Update(rid RID, row []byte) error {
 	if err != nil {
 		return err
 	}
+	h.pager.WillWrite(pg)
 	ok, err = pageReplace(pg.Data, int(rid.Slot), fwd[:])
 	if err == nil && !ok {
 		err = fmt.Errorf("storage: cannot shrink slot %s to forwarding stub", rid)

@@ -10,9 +10,12 @@
 package storage
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,10 +197,16 @@ type Stats struct {
 	Allocs    int64 // new pages allocated
 
 	WALRecords int64 // redo records appended (pages + commits)
-	WALPages   int64 // page-image records appended
+	WALPages   int64 // page records appended, full image or delta
 	WALCommits int64 // commit records appended
 	WALBytes   int64 // bytes appended to the log
 	WALSyncs   int64 // log fsyncs
+	// WALFullPages counts the page records that were full images (first
+	// touch since a checkpoint, fresh pages, oversized deltas);
+	// WALDeltaBytes is the log bytes the remaining WALPages-WALFullPages
+	// delta records took, headers included.
+	WALFullPages  int64
+	WALDeltaBytes int64
 	// WALGroupedCommits counts commit records made durable through the
 	// group-commit protocol (SyncShared epochs); WALGroupedCommits /
 	// WALSyncs is the commits-per-fsync ratio the W1 bench asserts on.
@@ -261,10 +270,27 @@ type Page struct {
 	slot int
 	// dirty/logged/owner are guarded by the owning shard's write lock.
 	dirty bool
-	// logged records that the current dirty image has been appended to
-	// the WAL; a later modification clears it so the page is re-logged
-	// at the next commit.
+	// logged records that the log's account of the page matches the
+	// current dirty image; a later modification clears it so the page is
+	// re-logged at the next commit.
 	logged bool
+	// imaged records that a full image of the page was logged since the
+	// last checkpoint while this frame stayed resident, so later commits
+	// may log byte-range deltas instead. FlushAll clears it, and a frame
+	// fetched afresh starts without it: every page a checkpoint writes
+	// therefore has a full image earlier in the same log.
+	imaged bool
+	// base, when non-nil, is a copy of the page as the log last recorded
+	// it, captured by WillWrite before the first modification since. The
+	// commit sweep logs the diff against it and releases it. It is never
+	// taken from an unlogged frame: a rolled-back transaction leaves its
+	// frames logically restored but not bytewise, and a base copied from
+	// one would make replay apply a delta to bytes the log never held.
+	base []byte
+	// wantBase mirrors imaged && logged && base == nil — "the next write
+	// needs a base captured first" — so WillWrite's common no-op case is
+	// one atomic load. Written under the shard's write lock.
+	wantBase atomic.Bool
 	// owner is the id of the uncommitted transaction whose modifications
 	// the current dirty image carries, 0 for none. It is set when a
 	// mutation window (PushWriter) dirties the frame and cleared when the
@@ -307,6 +333,18 @@ type pagerShard struct {
 	frames map[PageID]*Page
 	clock  []*Page // every resident frame; hand sweeps for victims
 	hand   int
+
+	// sets lists, per owner, the shard's frames that may need logging:
+	// sets[t] holds every frame owned by uncommitted transaction t, and
+	// sets[0] every unlogged orphan plus every frame holding a base. The
+	// commit sweep, ReleaseOwner and the owned-page queries walk these
+	// instead of the whole pool. Entries are appended when a frame enters
+	// the state and never removed singly: readers revalidate each entry
+	// against the frame's current state (resident, dirty, unlogged, owner)
+	// and a sweep empties the lists it consumed. Maintained only under
+	// no-steal — in a steal pool dirty frames get evicted, nothing sweeps,
+	// and the lists would pin dead frames. Guarded by mu.
+	sets map[int64][]*Page
 
 	// Per-shard I/O counters (atomic, incremented while holding mu in
 	// either mode; Stats write-locks every shard, which drains in-flight
@@ -411,6 +449,7 @@ func NewPagerShards(b Backend, capacity, shards int) *Pager {
 	}
 	for i := range p.shards {
 		p.shards[i].frames = make(map[PageID]*Page)
+		p.shards[i].sets = make(map[int64][]*Page)
 		p.auxes[i] = fmt.Sprintf("shard=%d", i)
 	}
 	p.writer.Store(&writerCtx{})
@@ -624,6 +663,7 @@ func (p *Pager) NewPage() (*Page, error) {
 	}
 	p.dirtyPages.Add(1)
 	p.insertLocked(sh, pg)
+	p.trackLocked(sh, pg)
 	return pg, nil
 }
 
@@ -641,15 +681,21 @@ func (p *Pager) Unpin(pg *Page, dirty bool) {
 	}
 	sh := p.lockShard(p.shardIndex(pg.ID))
 	defer sh.mu.Unlock()
+	if invariantsEnabled && pg.imaged && pg.base == nil {
+		panic(fmt.Sprintf("storage: page %d modified with no base captured: a write path is missing its WillWrite call", pg.ID))
+	}
+	tracked := pg.dirty && !pg.logged
 	if !pg.dirty {
 		p.dirtyPages.Add(1)
 	}
 	pg.dirty = true
 	pg.logged = false
+	pg.wantBase.Store(false)
 	if w := p.writer.Load(); w.owner != 0 && !w.undo {
 		switch pg.owner {
 		case 0:
 			pg.owner = w.owner
+			tracked = false
 		case w.owner:
 			// already ours
 		default:
@@ -660,9 +706,60 @@ func (p *Pager) Unpin(pg *Page, dirty bool) {
 			p.conflictMu.Unlock()
 		}
 	}
+	if !tracked {
+		p.trackLocked(sh, pg)
+	}
 	pg.ref.Store(true)
 	if pg.pins.Add(-1) < 0 {
 		panic("storage: page unpinned more times than pinned")
+	}
+}
+
+// WillWrite must be called on a pinned page before its bytes are
+// modified (and before the dirty Unpin that follows). When the log's
+// account of the page matches the frame — a full image logged since the
+// checkpoint, nothing changed since the last record — it copies the page
+// aside as the base the next commit diffs against; otherwise it does
+// nothing. Without the call the commit falls back to a full image (and
+// the invariants build panics at the dirty Unpin), so forgetting it
+// costs log volume, not correctness.
+func (p *Pager) WillWrite(pg *Page) {
+	if !pg.wantBase.Load() {
+		return
+	}
+	sh := p.lockShard(p.shardIndex(pg.ID))
+	if pg.imaged && pg.logged && pg.base == nil {
+		buf := basePool.Get().(*[PageSize]byte)
+		copy(buf[:], pg.Data)
+		pg.base = buf[:]
+		pg.wantBase.Store(false)
+		// Listed as an orphan so that some commit releases the base even
+		// if this writer never dirties the page.
+		sh.sets[0] = append(sh.sets[0], pg)
+	}
+	sh.mu.Unlock()
+}
+
+// basePool recycles base-image buffers: one is live per frame written
+// since its last log record, so the pool's working set is the in-flight
+// write sets, not the dirty pages.
+var basePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+// dropBaseLocked releases the frame's base, if any, and recomputes
+// wantBase. Caller holds the shard's write lock.
+func (pg *Page) dropBaseLocked() {
+	if pg.base != nil {
+		basePool.Put((*[PageSize]byte)(pg.base))
+		pg.base = nil
+	}
+	pg.wantBase.Store(pg.imaged && pg.logged)
+}
+
+// trackLocked lists an unlogged frame under its owner (see
+// pagerShard.sets). Caller holds the shard's write lock.
+func (p *Pager) trackLocked(sh *pagerShard, pg *Page) {
+	if p.noSteal.Load() {
+		sh.sets[pg.owner] = append(sh.sets[pg.owner], pg)
 	}
 }
 
@@ -678,6 +775,8 @@ func (p *Pager) Free(id PageID) {
 		if pg.dirty {
 			p.dirtyPages.Add(-1)
 		}
+		pg.imaged = false
+		pg.dropBaseLocked()
 		p.removeLocked(sh, pg)
 	}
 	sh.mu.Unlock()
@@ -689,7 +788,9 @@ func (p *Pager) Free(id PageID) {
 // SetNoSteal switches the pool to a no-steal eviction policy: dirty
 // frames are never written back outside FlushAll. The engine enables it
 // when a WAL governs the backend (redo-only logging is correct only if
-// uncommitted changes cannot reach the page file).
+// uncommitted changes cannot reach the page file). It also turns on
+// write-set tracking (pagerShard.sets), which the commit sweep and the
+// ownership queries rely on, so it must be set before the first write.
 func (p *Pager) SetNoSteal(on bool) { p.noSteal.Store(on) }
 
 // PushWriter opens a mutation window: until the returned restore runs,
@@ -723,20 +824,43 @@ func (p *Pager) TakeConflict() error {
 // it finishes (commit or rollback). After a commit the sweep has already
 // logged and disowned its frames, so this is a safety net; after a
 // rollback the undo log has restored committed-equivalent content, so
-// the frames become orphans sweepable by any later commit.
+// the frames become orphans sweepable by any later commit — bases
+// intact, since the log still holds what it held before the transaction.
 func (p *Pager) ReleaseOwner(owner int64) {
 	if owner == 0 {
 		return
 	}
 	for i := range p.shards {
 		sh := p.lockShard(i)
-		for _, pg := range sh.frames {
-			if pg.owner == owner {
-				pg.owner = 0
+		if set := sh.sets[owner]; len(set) > 0 {
+			for _, pg := range set {
+				if pg.owner == owner {
+					pg.owner = 0
+				}
 			}
+			sh.sets[0] = append(sh.sets[0], set...)
 		}
+		delete(sh.sets, owner)
 		sh.mu.Unlock()
 	}
+}
+
+// ownedLocked appends the ids of the resident frames in set that owner
+// currently owns. Caller holds the shard latch.
+func (sh *pagerShard) ownedLocked(ids []PageID, owner int64, set []*Page) []PageID {
+	for _, pg := range set {
+		if pg.owner == owner && sh.frames[pg.ID] == pg {
+			ids = append(ids, pg.ID)
+		}
+	}
+	return ids
+}
+
+// sortedUnique sorts ids and drops repeats (a frame can be listed more
+// than once).
+func sortedUnique(ids []PageID) []PageID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // PagesOwnedBy returns the sorted ids of frames the transaction owns —
@@ -748,15 +872,10 @@ func (p *Pager) PagesOwnedBy(owner int64) []PageID {
 	var ids []PageID
 	for i := range p.shards {
 		sh := p.rlockShard(i)
-		for id, pg := range sh.frames {
-			if pg.owner == owner {
-				ids = append(ids, id)
-			}
-		}
+		ids = sh.ownedLocked(ids, owner, sh.sets[owner])
 		sh.mu.RUnlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return sortedUnique(ids)
 }
 
 // OwnedPages returns the sorted ids of frames owned by any uncommitted
@@ -766,64 +885,102 @@ func (p *Pager) OwnedPages() []PageID {
 	var ids []PageID
 	for i := range p.shards {
 		sh := p.rlockShard(i)
-		for id, pg := range sh.frames {
-			if pg.owner != 0 {
-				ids = append(ids, id)
+		for owner, set := range sh.sets {
+			if owner != 0 {
+				ids = sh.ownedLocked(ids, owner, set)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return sortedUnique(ids)
 }
 
-// AppendUnloggedFor appends to w the image of every unlogged dirty frame
+// AppendUnloggedFor stages in w one record for every unlogged dirty frame
 // in the committing transaction's write set — frames it owns, plus
 // orphans (owner 0), whose content is committed-equivalent by
 // construction (superblock initialization, snapshot-chain writes,
-// rolled-back transactions' restored images). Swept frames are marked
-// logged and disowned. Frames owned by other uncommitted transactions
-// are skipped: that is the per-transaction write-set contract that lets
-// concurrent writers commit without logging each other's in-flight
-// changes. Returns how many pages were appended.
+// rolled-back transactions' restored images). A frame's first record
+// since the last checkpoint is its full image; after that, the byte
+// ranges that differ from its base — the page as the log last recorded
+// it — or nothing at all when a rollback restored it byte for byte.
+// Swept frames are marked logged and disowned and their bases released.
+// Frames owned by other uncommitted transactions are skipped: that is
+// the per-transaction write-set contract that lets concurrent writers
+// commit without logging each other's in-flight changes. Returns how
+// many records were staged; they reach the sink with the commit record
+// (WAL.AppendCommit). After an error the write-set lists are incomplete
+// and the caller must stop logging (the engine poisons the WAL).
 //
 // The sweep runs inside the committing transaction's mutation window, so
 // no frame's dirty/logged/owner state changes under it; the two-phase
 // shape (collect across shards, then log in one globally sorted pass)
 // keeps the append order — and therefore every fault-injection op count
-// — identical to the single-latch pager's.
+// — independent of the shard layout.
 func (p *Pager) AppendUnloggedFor(w *WAL, owner int64) (int, error) {
-	// Deterministic order makes crash points reproducible.
-	var ids []PageID
-	for i := range p.shards {
-		sh := p.rlockShard(i)
-		for id, pg := range sh.frames {
-			if pg.dirty && !pg.logged && (pg.owner == owner || pg.owner == 0) {
-				ids = append(ids, id)
-			}
-		}
-		sh.mu.RUnlock()
+	if !p.noSteal.Load() {
+		return 0, errors.New("storage: commit sweep over a steal pool (SetNoSteal was never called)")
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	appended := 0
-	for _, id := range ids {
-		sh := p.lockShard(p.shardIndex(id))
-		pg, ok := sh.frames[id]
-		if !ok || !pg.dirty || pg.logged || (pg.owner != owner && pg.owner != 0) {
-			sh.mu.Unlock()
-			continue // state moved between the phases; not ours to log
+	var set []*Page
+	for i := range p.shards {
+		sh := p.lockShard(i)
+		set = append(set, sh.sets[0]...)
+		clear(sh.sets[0]) // drop the pointers, keep the capacity
+		sh.sets[0] = sh.sets[0][:0]
+		if owner != 0 {
+			set = append(set, sh.sets[owner]...)
+			delete(sh.sets, owner)
 		}
-		err := w.AppendPage(id, pg.Data)
+		sh.mu.Unlock()
+	}
+	// Deterministic order makes crash points reproducible.
+	slices.SortFunc(set, func(a, b *Page) int { return cmp.Compare(a.ID, b.ID) })
+	staged := 0
+	for _, pg := range set {
+		sh := p.lockShard(p.shardIndex(pg.ID))
+		ok, err := p.logFrameLocked(sh, w, pg, owner)
+		sh.mu.Unlock()
 		if err != nil {
-			sh.mu.Unlock()
 			return 0, err
 		}
-		pg.logged = true
-		pg.owner = 0
-		sh.mu.Unlock()
-		appended++
+		if ok {
+			staged++
+		}
 	}
-	return appended, nil
+	return staged, nil
+}
+
+// logFrameLocked is one step of the commit sweep: revalidate a listed
+// frame and stage its record. Caller holds the frame's shard latch.
+func (p *Pager) logFrameLocked(sh *pagerShard, w *WAL, pg *Page, owner int64) (staged bool, err error) {
+	switch {
+	case sh.frames[pg.ID] != pg:
+		return false, nil // freed since it was listed
+	case pg.owner != owner && pg.owner != 0:
+		return false, nil // another transaction took the orphan; it is on that list now
+	case !pg.dirty || pg.logged:
+		// Listed by WillWrite and never dirtied, flushed by a checkpoint,
+		// or listed twice and already swept.
+		if invariantsEnabled && pg.base != nil && !bytes.Equal(pg.base, pg.Data) {
+			panic(fmt.Sprintf("storage: page %d changed after WillWrite but was unpinned clean", pg.ID))
+		}
+		pg.dropBaseLocked()
+		return false, nil
+	}
+	var base []byte
+	if pg.imaged {
+		base = pg.base // nil (a write path skipped WillWrite) falls back to a full image
+	}
+	staged, full, err := w.stagePage(pg.ID, base, pg.Data)
+	if err != nil {
+		return false, err
+	}
+	if full {
+		pg.imaged = true
+	}
+	pg.logged = true
+	pg.owner = 0
+	pg.dropBaseLocked()
+	return staged, nil
 }
 
 // FlushAll writes every dirty frame back to the backend and syncs it.
@@ -864,6 +1021,10 @@ func (p *Pager) FlushAll() error {
 		pg.dirty = false
 		pg.logged = false
 		pg.owner = 0
+		// The checkpoint this flush belongs to truncates the log: the
+		// page's next record must be a full image again.
+		pg.imaged = false
+		pg.dropBaseLocked()
 		p.dirtyPages.Add(-1)
 		sh.mu.Unlock()
 	}

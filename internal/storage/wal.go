@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,24 +14,34 @@ import (
 )
 
 // Write-ahead redo log. The engine's durability story is redo-only,
-// physical (page-image) logging with a no-steal buffer pool:
+// physical logging with a no-steal buffer pool:
 //
 //   - While a transaction runs, its changes live only in buffer-pool
 //     frames (the pool never evicts dirty frames while a WAL is
 //     attached, so uncommitted data cannot reach the page file).
-//   - At commit, the full image of every page dirtied since it was last
-//     logged is appended to the WAL, followed by a commit record, and
-//     the log is fsynced before the commit is acknowledged.
+//   - At commit, every page the transaction dirtied is logged — the
+//     first time since the last checkpoint as a full image, afterwards
+//     as the byte ranges that differ from what the log last recorded for
+//     that page — followed by a commit record, and the log is fsynced
+//     before the commit is acknowledged.
 //   - At checkpoint, dirty pages are written to the page file, the file
 //     is fsynced, and only then is the WAL truncated.
 //
-// Recovery replays the log front to back: page images accumulate in a
-// pending set and are applied to the page file only when their commit
-// record is reached, so a transaction whose commit record never made it
-// to disk disappears entirely. Every record carries a CRC32-C checksum
-// and a strictly increasing sequence number; the first record that fails
-// either check ends replay — a torn append at the log tail (the classic
-// power-loss artifact) is thereby ignored rather than misapplied.
+// Recovery replays the log front to back: page records accumulate in a
+// pending set (a delta is applied onto the batch's pending image, or
+// onto the page file's copy when the batch has none) and reach the page
+// file only when their commit record does, so a transaction whose
+// commit record never made it to disk disappears entirely. Every record
+// carries a CRC32-C checksum and a strictly increasing sequence number;
+// the first record that fails either check ends replay — a torn append
+// at the log tail (the classic power-loss artifact) is thereby ignored
+// rather than misapplied.
+//
+// The first-touch full image is what keeps a torn checkpoint repairable:
+// a checkpoint only writes pages dirtied since the previous one, each of
+// those has a full image earlier in the same log, and replay rebuilds
+// the page from that image plus its deltas whatever the tear left in the
+// page file.
 
 // WALSink is the append-only byte store underneath the WAL. It is
 // deliberately minimal so fault-injection wrappers can model power loss
@@ -161,6 +172,22 @@ func (s *FileWALSink) Close() error { return s.f.Close() }
 const (
 	walRecPage   = 1 // payload: page id (4) + page image (PageSize)
 	walRecCommit = 2 // payload: txn id (8) + snapshot length (4) + snapshot bytes
+	walRecDelta  = 3 // payload: page id (4) + n × (offset u16, length u16, bytes)
+)
+
+const (
+	// walRangeHeader is the per-range overhead of a delta record; two
+	// differing runs closer together than this are cheaper logged as one.
+	walRangeHeader = 4
+	// walMaxDeltaBytes caps a delta's ranges at half a page: past that a
+	// full image costs at most twice as much and restarts the page's
+	// delta chain.
+	walMaxDeltaBytes = PageSize / 2
+	// walBatchFlushBytes bounds the batch buffer: a commit batch normally
+	// reaches the sink in one Append, but a bulk load's thousands of
+	// first-touch images stream out in chunks of this size instead of
+	// being held in memory whole.
+	walBatchFlushBytes = 256 << 10
 )
 
 // walHeaderSize is the fixed per-record header: payload length (4),
@@ -206,15 +233,28 @@ type WAL struct {
 	syncErr         error
 	unsyncedCommits int64
 
+	// buf is the batch under construction: records are encoded in place
+	// (header, payload, CRC) and handed to the sink in one Append when the
+	// batch's commit record is staged. bufSeq is the sequence number of
+	// the last staged record, bufCommits the commit records staged. All
+	// three belong to the appender — callers serialize appends, and
+	// TruncateToSynced/Reset against them — so only flush, which
+	// publishes the new cursor, takes gmu.
+	buf        []byte
+	bufSeq     uint64
+	bufCommits int64
+
 	// Cumulative log-traffic counters, folded into storage.Stats by
 	// AddStats. Atomic (obs.Counter) because snapshots race with the
 	// append path: appends run under the engine's walMu, but AddStats is
 	// called by any session reading DB.PagerStats or DB.Metrics.
-	recs    obs.Counter
-	pages   obs.Counter
-	commits obs.Counter
-	bytes   obs.Counter
-	syncs   obs.Counter
+	recs       obs.Counter
+	pages      obs.Counter // page records, full or delta
+	fullPages  obs.Counter // full-image page records
+	deltaBytes obs.Counter // bytes of delta records, headers included
+	commits    obs.Counter
+	bytes      obs.Counter
+	syncs      obs.Counter
 	// grouped counts commit records made durable through sync epochs;
 	// grouped/syncs is the commits-per-fsync ratio the W1 bench asserts
 	// on. groupSizes is the distribution of batch sizes (commit records
@@ -247,24 +287,158 @@ func (w *WAL) SetObs(waits *obs.WaitStats, flight *obs.FlightRecorder) {
 	w.flight = flight
 }
 
-func (w *WAL) append(kind byte, payload []byte) error {
-	w.gmu.Lock()
-	defer w.gmu.Unlock()
-	seq := w.seq + 1
-	rec := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	rec[8] = kind
-	binary.BigEndian.PutUint64(rec[9:17], seq)
-	copy(rec[walHeaderSize:], payload)
-	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], walCRC))
-	if err := w.sink.Append(rec); err != nil {
-		return err
+// beginRecord reserves a record header at the end of the batch buffer and
+// returns its offset; the caller appends the payload and calls endRecord.
+func (w *WAL) beginRecord(kind byte) int {
+	if len(w.buf) == 0 {
+		w.gmu.Lock()
+		w.bufSeq = w.seq
+		w.gmu.Unlock()
 	}
-	w.seq = seq
-	w.size += int64(len(rec))
+	start := len(w.buf)
+	var hdr [walHeaderSize]byte
+	hdr[8] = kind
+	w.buf = append(w.buf, hdr[:]...)
+	return start
+}
+
+// endRecord completes the record begun at start: payload length,
+// sequence number, and the CRC over kind+seq+payload.
+func (w *WAL) endRecord(start int) {
+	rec := w.buf[start:]
+	w.bufSeq++
+	binary.BigEndian.PutUint32(rec[0:4], uint32(len(rec)-walHeaderSize))
+	binary.BigEndian.PutUint64(rec[9:17], w.bufSeq)
+	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], walCRC))
 	w.recs.Inc()
 	w.bytes.Add(int64(len(rec)))
-	return nil
+}
+
+// flush hands the staged batch to the sink in one Append and publishes
+// the new log cursor. On failure the batch is dropped; the caller
+// (the engine) poisons the WAL and truncates to the synced point.
+func (w *WAL) flush() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	w.gmu.Lock()
+	err := w.sink.Append(w.buf)
+	if err == nil {
+		w.seq = w.bufSeq
+		w.size += int64(len(w.buf))
+		w.unsyncedCommits += w.bufCommits
+	}
+	w.gmu.Unlock()
+	w.dropStaged()
+	return err
+}
+
+// dropStaged empties the batch buffer. A buffer grown far past the flush
+// threshold (one huge commit record) is released rather than kept.
+func (w *WAL) dropStaged() {
+	w.bufCommits = 0
+	if cap(w.buf) > 4*walBatchFlushBytes {
+		w.buf = nil
+		return
+	}
+	w.buf = w.buf[:0]
+}
+
+// stagePage encodes one page record into the batch: the byte ranges
+// where cur differs from base (the page as the log last recorded it)
+// or, with no base or a delta past walMaxDeltaBytes, the full image. An
+// unchanged page stages nothing. It reports whether a record was staged
+// and whether that record was a full image. The batch buffer is flushed
+// early when it passes walBatchFlushBytes.
+func (w *WAL) stagePage(id PageID, base, cur []byte) (staged, full bool, err error) {
+	start := w.beginRecord(walRecDelta)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(id))
+	ranges := len(w.buf)
+	full = base == nil
+	if !full {
+		var ok bool
+		if w.buf, ok = appendPageDiff(w.buf, base, cur); !ok {
+			full = true
+		} else if len(w.buf) == ranges {
+			w.buf = w.buf[:start]
+			return false, false, nil
+		}
+	}
+	if full {
+		w.buf[start+8] = walRecPage
+		w.buf = append(w.buf[:ranges], cur[:PageSize]...)
+		w.fullPages.Inc()
+	}
+	w.endRecord(start)
+	w.pages.Inc()
+	if !full {
+		w.deltaBytes.Add(int64(len(w.buf) - start))
+	}
+	if len(w.buf) >= walBatchFlushBytes {
+		err = w.flush()
+	}
+	return true, full, err
+}
+
+// appendPageDiff appends to dst the byte ranges where cur differs from
+// base as (offset u16, length u16, bytes) triples in ascending offset
+// order. Differing runs separated by fewer equal bytes than a range
+// header costs are merged. ok is false — and dst is returned unextended
+// — when the ranges would exceed walMaxDeltaBytes.
+func appendPageDiff(dst, base, cur []byte) (out []byte, ok bool) {
+	base, cur = base[:PageSize], cur[:PageSize]
+	mark := len(dst)
+	for i := 0; ; {
+		for i+8 <= PageSize && binary.LittleEndian.Uint64(base[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
+			i += 8
+		}
+		for i < PageSize && base[i] == cur[i] {
+			i++
+		}
+		if i == PageSize {
+			return dst, true
+		}
+		start, end := i, i+1 // end: one past the last differing byte seen
+		for j := end; j < PageSize && j-end < walRangeHeader; j++ {
+			if base[j] != cur[j] {
+				end = j + 1
+			}
+		}
+		if len(dst)-mark+walRangeHeader+end-start > walMaxDeltaBytes {
+			return dst[:mark], false
+		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(start))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(end-start))
+		dst = append(dst, cur[start:end]...)
+		i = end
+	}
+}
+
+// applyPageDelta applies a delta record's ranges to img. It validates
+// the whole record first and reports false, touching nothing, when a
+// range is empty, runs past the page, or overruns the payload.
+func applyPageDelta(img, ranges []byte) bool {
+	if len(ranges) == 0 {
+		return false
+	}
+	for r := ranges; len(r) > 0; {
+		if len(r) < walRangeHeader {
+			return false
+		}
+		off := int(binary.BigEndian.Uint16(r[0:2]))
+		n := int(binary.BigEndian.Uint16(r[2:4]))
+		if n == 0 || off+n > PageSize || len(r)-walRangeHeader < n {
+			return false
+		}
+		r = r[walRangeHeader+n:]
+	}
+	for r := ranges; len(r) > 0; {
+		off := int(binary.BigEndian.Uint16(r[0:2]))
+		n := int(binary.BigEndian.Uint16(r[2:4]))
+		copy(img[off:off+n], r[walRangeHeader:walRangeHeader+n])
+		r = r[walRangeHeader+n:]
+	}
+	return true
 }
 
 // LogSize returns the current log length in bytes — the durability
@@ -280,6 +454,8 @@ func (w *WAL) LogSize() int64 {
 func (w *WAL) AddStats(s *Stats) {
 	s.WALRecords += w.recs.Load()
 	s.WALPages += w.pages.Load()
+	s.WALFullPages += w.fullPages.Load()
+	s.WALDeltaBytes += w.deltaBytes.Load()
 	s.WALCommits += w.commits.Load()
 	s.WALBytes += w.bytes.Load()
 	s.WALSyncs += w.syncs.Load()
@@ -291,6 +467,8 @@ func (w *WAL) AddStats(s *Stats) {
 func (w *WAL) ResetStats() {
 	w.recs.Store(0)
 	w.pages.Store(0)
+	w.fullPages.Store(0)
+	w.deltaBytes.Store(0)
 	w.commits.Store(0)
 	w.bytes.Store(0)
 	w.syncs.Store(0)
@@ -298,35 +476,28 @@ func (w *WAL) ResetStats() {
 	w.groupSizes.Reset()
 }
 
-// AppendPage logs the full image of one page.
+// AppendPage logs the full image of one page as a batch of its own.
 func (w *WAL) AppendPage(id PageID, data []byte) error {
-	payload := make([]byte, 4+PageSize)
-	binary.BigEndian.PutUint32(payload[0:4], uint32(id))
-	copy(payload[4:], data[:PageSize])
-	if err := w.append(walRecPage, payload); err != nil {
+	if _, _, err := w.stagePage(id, nil, data); err != nil {
 		return err
 	}
-	w.pages.Inc()
-	return nil
+	return w.flush()
 }
 
-// AppendCommit logs a commit record carrying the transaction id and a
+// AppendCommit stages a commit record carrying the transaction id and a
 // serialized dictionary snapshot (the engine's volatile metadata — row
 // counts, bitmap indexes, the LOB directory — rides along so recovery
-// restores it without a checkpoint).
+// restores it without a checkpoint) and hands the whole batch — the page
+// records the commit sweep staged plus this record — to the sink.
 func (w *WAL) AppendCommit(txID int64, snapshot []byte) error {
-	payload := make([]byte, 8+4+len(snapshot))
-	binary.BigEndian.PutUint64(payload[0:8], uint64(txID))
-	binary.BigEndian.PutUint32(payload[8:12], uint32(len(snapshot)))
-	copy(payload[12:], snapshot)
-	if err := w.append(walRecCommit, payload); err != nil {
-		return err
-	}
-	w.gmu.Lock()
-	w.unsyncedCommits++
-	w.gmu.Unlock()
+	start := w.beginRecord(walRecCommit)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(txID))
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(snapshot)))
+	w.buf = append(w.buf, snapshot...)
+	w.endRecord(start)
+	w.bufCommits++
 	w.commits.Inc()
-	return nil
+	return w.flush()
 }
 
 // Sync makes all appended records durable; a commit is acknowledged only
@@ -410,6 +581,7 @@ func (w *WAL) GroupSizes() obs.HistogramSnapshot { return w.groupSizes.Snapshot(
 // Idempotent. Callers must serialize against appends (the engine holds
 // walMu).
 func (w *WAL) TruncateToSynced() error {
+	w.dropStaged() // a batch abandoned before its commit record
 	w.gmu.Lock()
 	defer w.gmu.Unlock()
 	for w.syncing {
@@ -429,6 +601,7 @@ func (w *WAL) TruncateToSynced() error {
 
 // Reset truncates the log after a checkpoint made it redundant.
 func (w *WAL) Reset() error {
+	w.dropStaged()
 	if err := w.sink.Reset(); err != nil {
 		return err
 	}
@@ -449,17 +622,20 @@ type RecoveryInfo struct {
 	Records int
 	// Commits is the number of commit records applied.
 	Commits int
-	// PagesApplied counts page images written to the backend.
+	// PagesApplied counts pages written to the backend (one per page per
+	// committed batch, however many records rebuilt it).
 	PagesApplied int
-	// PagesRepaired counts applied pages whose prior backend content
-	// differed from the logged image — torn or lost page writes that the
-	// replay corrected.
+	// DeltasApplied counts delta records folded into applied pages.
+	DeltasApplied int
+	// PagesRepaired counts applied full images whose prior backend
+	// content differed from the logged image — torn or lost page writes
+	// that the replay corrected.
 	PagesRepaired int
 	// TornTail is true when the log ended in a truncated or
 	// checksum-corrupt record (ignored, as designed).
 	TornTail bool
-	// DiscardedPages counts page images belonging to transactions whose
-	// commit record never reached the log (their effects are dropped).
+	// DiscardedPages counts pages of transactions whose commit record
+	// never reached the log (their effects are dropped).
 	DiscardedPages int
 	// LastSeq is the sequence number of the last intact record; the WAL
 	// writer continues after it until the post-recovery checkpoint
@@ -476,19 +652,35 @@ type RecoveryInfo struct {
 	Snapshot []byte
 }
 
-// ReplayWAL applies every committed page image in the log to the backend
-// and returns the newest committed dictionary snapshot. The backend is
-// synced before return, so a crash during recovery just replays again.
-// A torn or corrupt tail ends replay and is truncated off the sink, so
-// everything appended afterwards — notably the post-recovery
-// checkpoint's records — stays reachable by a later replay.
+// replayPage is one page of the batch being replayed: the image its
+// records have built so far, and whether that image started from a full
+// image in the log (else from the backend's copy, deltas applied on top).
+type replayPage struct {
+	img       []byte
+	fromImage bool
+	owned     bool // img is a private copy, not an alias into the log
+	deltas    int
+}
+
+// ReplayWAL applies every committed page record in the log to the
+// backend and returns the newest committed dictionary snapshot. A full
+// image replaces the batch's pending image of its page; a delta is
+// applied onto the pending image if the batch has one, else onto the
+// backend page — which, by the time the delta's batch is replayed, holds
+// everything earlier committed batches did to it. The backend is synced
+// before return, so a crash during recovery just replays again (every
+// delta has its page's full image earlier in the same log, so replaying
+// twice is harmless). A torn, corrupt or malformed tail ends replay and
+// is truncated off the sink, so everything appended afterwards — notably
+// the post-recovery checkpoint's records — stays reachable by a later
+// replay.
 func ReplayWAL(b Backend, sink WALSink) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	log, err := sink.Contents()
 	if err != nil {
 		return info, fmt.Errorf("storage: read wal: %w", err)
 	}
-	pending := make(map[PageID][]byte)
+	pending := make(map[PageID]*replayPage)
 	pendingOrder := []PageID{}
 	off := 0
 scan:
@@ -522,7 +714,30 @@ scan:
 			if _, ok := pending[id]; !ok {
 				pendingOrder = append(pendingOrder, id)
 			}
-			pending[id] = payload[4 : 4+PageSize]
+			pending[id] = &replayPage{img: payload[4 : 4+PageSize], fromImage: true}
+		case walRecDelta:
+			if payloadLen < 4 {
+				break scan
+			}
+			id := PageID(binary.BigEndian.Uint32(payload[0:4]))
+			pp := pending[id]
+			if pp == nil {
+				if id >= b.NumPages() {
+					break scan // a delta for a page no image ever created
+				}
+				pp = &replayPage{img: make([]byte, PageSize), owned: true}
+				if err := b.ReadPage(id, pp.img); err != nil {
+					return info, fmt.Errorf("storage: wal replay read page %d: %w", id, err)
+				}
+				pending[id] = pp
+				pendingOrder = append(pendingOrder, id)
+			} else if !pp.owned {
+				pp.img, pp.owned = append([]byte(nil), pp.img...), true
+			}
+			if !applyPageDelta(pp.img, payload[4:]) {
+				break scan
+			}
+			pp.deltas++
 		case walRecCommit:
 			if payloadLen < 12 {
 				break scan
@@ -534,7 +749,7 @@ scan:
 			if err := applyPending(b, pending, pendingOrder, &info); err != nil {
 				return info, err
 			}
-			pending = make(map[PageID][]byte)
+			pending = make(map[PageID]*replayPage)
 			pendingOrder = pendingOrder[:0]
 			info.Commits++
 			if snapLen > 0 {
@@ -563,28 +778,31 @@ scan:
 	return info, nil
 }
 
-// applyPending writes one committed batch of page images to the backend,
-// extending the page space as needed and counting repairs (pages whose
-// on-disk bytes disagreed with the committed image).
-func applyPending(b Backend, pending map[PageID][]byte, order []PageID, info *RecoveryInfo) error {
+// applyPending writes one committed batch of pages to the backend,
+// extending the page space as needed and counting repairs (full images
+// whose on-disk bytes disagreed with them).
+func applyPending(b Backend, pending map[PageID]*replayPage, order []PageID, info *RecoveryInfo) error {
+	cur := make([]byte, PageSize)
 	for _, id := range order {
-		img := pending[id]
+		pp := pending[id]
 		for b.NumPages() <= id {
 			if _, err := b.Allocate(); err != nil {
 				return fmt.Errorf("storage: wal replay allocate to page %d: %w", id, err)
 			}
 		}
-		cur := make([]byte, PageSize)
-		if err := b.ReadPage(id, cur); err != nil {
-			return fmt.Errorf("storage: wal replay read page %d: %w", id, err)
+		if pp.fromImage {
+			if err := b.ReadPage(id, cur); err != nil {
+				return fmt.Errorf("storage: wal replay read page %d: %w", id, err)
+			}
+			if !bytes.Equal(cur, pp.img) {
+				info.PagesRepaired++
+			}
 		}
-		if crc32.Checksum(cur, walCRC) != crc32.Checksum(img, walCRC) {
-			info.PagesRepaired++
-		}
-		if err := b.WritePage(id, img); err != nil {
+		if err := b.WritePage(id, pp.img); err != nil {
 			return fmt.Errorf("storage: wal replay write page %d: %w", id, err)
 		}
 		info.PagesApplied++
+		info.DeltasApplied += pp.deltas
 	}
 	return nil
 }

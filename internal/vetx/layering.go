@@ -36,7 +36,7 @@ func DefaultLayeringConfig() LayeringConfig {
 			// The full pin protocol: pinning from the wrong layer can
 			// bypass lock-manager serialization even if nothing is
 			// mutated.
-			"Pager": set("Fetch", "NewPage", "Unpin", "Free", "FlushAll", "Close"),
+			"Pager": set("Fetch", "NewPage", "WillWrite", "Unpin", "Free", "FlushAll", "Close"),
 			// Heap mutations only; Get/Scan/Count stay open for readers
 			// like the executor.
 			"Heap": set("Insert", "InsertAt", "Update", "Delete", "Truncate", "Drop"),
