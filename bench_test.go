@@ -1,120 +1,29 @@
 package extdb
 
-// The benchmark harness: one testing.B benchmark per experiment of
-// EXPERIMENTS.md (E1–E10), each regenerating the corresponding
+// The benchmark harness: one testing.B sub-benchmark per entry of
+// bench.Experiments (E1–E10, A1), each regenerating the corresponding
 // table/claim of the paper's evaluation in quick mode. Run the full-size
 // sweep with cmd/benchrunner.
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/types"
 )
 
-func runExperiment(b *testing.B, f func(bench.Config) bench.Table) {
-	b.Helper()
+func BenchmarkExperiments(b *testing.B) {
 	cfg := bench.Config{Quick: true}
-	var t bench.Table
-	for i := 0; i < b.N; i++ {
-		t = f(cfg)
-	}
-	b.StopTimer()
-	if len(t.Rows) == 0 {
-		b.Fatal("experiment produced no rows")
-	}
-	b.Log("\n" + t.Format())
-}
-
-func BenchmarkE1_IndexVsFunctional(b *testing.B) { runExperiment(b, bench.E1IndexVsFunctional) }
-
-func BenchmarkE2_TextPre8iVs8i(b *testing.B) { runExperiment(b, bench.E2TextPre8iVs8i) }
-
-func BenchmarkE3_SpatialTileJoinVsOperator(b *testing.B) {
-	runExperiment(b, bench.E3SpatialTileJoinVsOperator)
-}
-
-func BenchmarkE4_VIRPhases(b *testing.B) { runExperiment(b, bench.E4VIRPhases) }
-
-func BenchmarkE5_ChemFileVsLOB(b *testing.B) { runExperiment(b, bench.E5ChemFileVsLOB) }
-
-func BenchmarkE6_OptimizerChoice(b *testing.B) { runExperiment(b, bench.E6OptimizerChoice) }
-
-func BenchmarkE7_ScanContext(b *testing.B) { runExperiment(b, bench.E7ScanContext) }
-
-func BenchmarkE8_BatchFetch(b *testing.B) { runExperiment(b, bench.E8BatchFetch) }
-
-func BenchmarkE9_MaintenanceOverhead(b *testing.B) { runExperiment(b, bench.E9MaintenanceOverhead) }
-
-func BenchmarkE10_CollectionIndex(b *testing.B) { runExperiment(b, bench.E10CollectionIndex) }
-
-func BenchmarkA1_CallbacksVsDirect(b *testing.B) { runExperiment(b, bench.A1CallbacksVsDirect) }
-
-func BenchmarkB1_BatchSweep(b *testing.B) { runExperiment(b, bench.BatchSweep) }
-
-func BenchmarkP1_ParallelSweep(b *testing.B) { runExperiment(b, bench.ParallelSweep) }
-
-func BenchmarkW1_WriterSweep(b *testing.B) { runExperiment(b, bench.WriterSweep) }
-
-// parallelBenchDB builds the morsel-parallelism workload: a wide table
-// whose page count gives the exchange real morsels to dispatch.
-func parallelBenchDB(b *testing.B, nRows int) (*DB, *Session) {
-	b.Helper()
-	db, err := Open(Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := db.NewSession()
-	mustExec := func(q string, args ...types.Value) {
-		if _, err := s.Exec(q, args...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE measures(id NUMBER, grp NUMBER, val NUMBER, pad VARCHAR2)`)
-	pad := strings.Repeat("x", 120)
-	mustExec(`BEGIN`)
-	for i := 0; i < nRows; i++ {
-		mustExec(`INSERT INTO measures VALUES (?, ?, ?, ?)`,
-			types.Int(int64(i)), types.Int(int64(i%64)),
-			types.Int(int64(i*2654435761%100000)), types.Str(pad))
-	}
-	mustExec(`COMMIT`)
-	return db, s
-}
-
-// benchDegrees runs query at parallel degrees 1/2/4 as sub-benchmarks;
-// speedups at degree d read directly off the ns/op ratios (and scale
-// with available cores).
-func benchDegrees(b *testing.B, query string) {
-	nRows := 100000
-	if testing.Short() {
-		nRows = 20000
-	}
-	db, s := parallelBenchDB(b, nRows)
-	defer db.Close()
-	for _, d := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("parallel=%d", d), func(b *testing.B) {
-			s.SetParallel(d)
-			b.ResetTimer()
+	for _, e := range bench.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			var t bench.Table
 			for i := 0; i < b.N; i++ {
-				rs, err := s.Query(query)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rs.Rows) == 0 {
-					b.Fatal("empty result")
-				}
+				t = e.Run(cfg)
 			}
+			b.StopTimer()
+			if len(t.Rows) == 0 {
+				b.Fatal("experiment produced no rows")
+			}
+			b.Log("\n" + t.Format())
 		})
 	}
-}
-
-func BenchmarkParallelScan(b *testing.B) {
-	benchDegrees(b, `SELECT id, val FROM measures WHERE val < 50000`)
-}
-
-func BenchmarkParallelAggregate(b *testing.B) {
-	benchDegrees(b, `SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) FROM measures GROUP BY grp`)
 }

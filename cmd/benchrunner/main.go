@@ -1,6 +1,7 @@
 // Command benchrunner regenerates every experiment of EXPERIMENTS.md
-// (E1–E10) at full size and prints the result tables, reproducing the
-// evaluation section of the paper.
+// (E1–E10 and the A1 ablation, listed in bench.Experiments) at full
+// size and prints the result tables, reproducing the evaluation section
+// of the paper.
 //
 // Usage:
 //
@@ -10,9 +11,9 @@
 // table plus the engine metrics snapshot accumulated while it ran
 // (pager hit rate, WAL activity, ODCI callback-time breakdowns). With
 // -smoke, the run exits nonzero unless the aggregated metrics show real
-// engine activity (pager fetches, ODCIIndexFetch calls, and — after the
-// parallel/writer sweeps — live wait-event classes) — CI uses this to
-// catch silently dead instrumentation.
+// engine activity (pager fetches, ODCIIndexFetch calls, the ODCICallback
+// wait class) — CI uses this to catch silently dead instrumentation.
+// An -only id that names no experiment exits 2 and prints the valid ids.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -46,46 +46,20 @@ func main() {
 	smoke := flag.Bool("smoke", false, "fail unless required engine counters are nonzero (CI smoke check)")
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
-			want[id] = true
-		}
+	experiments, err := bench.Select(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
 	}
 
 	cfg := bench.Config{Quick: *quick}
-	experiments := []struct {
-		id string
-		f  func(bench.Config) bench.Table
-	}{
-		{"E1", bench.E1IndexVsFunctional},
-		{"E2", bench.E2TextPre8iVs8i},
-		{"E3", bench.E3SpatialTileJoinVsOperator},
-		{"E4", bench.E4VIRPhases},
-		{"E5", bench.E5ChemFileVsLOB},
-		{"E6", bench.E6OptimizerChoice},
-		{"E7", bench.E7ScanContext},
-		{"E8", bench.E8BatchFetch},
-		{"E9", bench.E9MaintenanceOverhead},
-		{"E10", bench.E10CollectionIndex},
-		{"A1", bench.A1CallbacksVsDirect},
-		{"B1", bench.BatchSweep},
-		{"P1", bench.ParallelSweep},
-		{"W1", bench.WriterSweep},
-		{"S1", bench.StorageSweep},
-	}
 	enc := json.NewEncoder(os.Stdout)
 	var total engine.Metrics
-	ran := map[string]bool{}
 	totalStart := time.Now()
 	bench.TakeMetrics() // discard anything accumulated before the sweep
 	for _, e := range experiments {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
-		ran[e.id] = true
 		start := time.Now()
-		t := e.f(cfg)
+		t := e.Run(cfg)
 		wall := time.Since(start)
 		m := bench.TakeMetrics()
 		total.Merge(m)
@@ -108,14 +82,14 @@ func main() {
 		}
 		fmt.Println(t.Format())
 		fmt.Printf("(%s completed in %v; pager hit rate %.1f%%, ODCI fetch calls %d)\n\n",
-			e.id, wall.Round(time.Millisecond), m.Pager.HitRate()*100,
+			e.ID, wall.Round(time.Millisecond), m.Pager.HitRate()*100,
 			m.ODCI.Callbacks["ODCIIndexFetch"].Calls)
 	}
 	if !*jsonOut {
 		fmt.Printf("all experiments done in %v\n", time.Since(totalStart).Round(time.Millisecond))
 	}
 	if *smoke {
-		if err := smokeCheck(total, ran["P1"], ran["W1"], ran["S1"]); err != nil {
+		if err := smokeCheck(total); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner: smoke check FAILED:", err)
 			os.Exit(1)
 		}
@@ -126,7 +100,7 @@ func main() {
 // smokeCheck validates that the instrumented engine actually observed
 // the activity the experiments must have generated. A zero here means a
 // counter was disconnected, not that the workload was idle.
-func smokeCheck(m engine.Metrics, ranParallel, ranWriters, ranStorage bool) error {
+func smokeCheck(m engine.Metrics) error {
 	if m.Pager.Fetches == 0 {
 		return fmt.Errorf("pager fetches = 0 (buffer-pool counters disconnected)")
 	}
@@ -143,74 +117,8 @@ func smokeCheck(m engine.Metrics, ranParallel, ranWriters, ranStorage bool) erro
 	if fetch.Calls == 0 {
 		return fmt.Errorf("ODCIIndexFetch calls = 0 (ODCI-boundary counters disconnected)")
 	}
-	if err := requireWait(m, "ODCICallback", false); err != nil {
-		return err
-	}
-	if ranParallel {
-		if m.Exec.Exchanges == 0 {
-			return fmt.Errorf("exchanges = 0 (parallel-executor counters disconnected)")
-		}
-		if m.Exec.MorselsDispatched == 0 {
-			return fmt.Errorf("morsels dispatched = 0 (morsel counters disconnected)")
-		}
-		if m.Exec.WorkerBusyNanos == 0 {
-			return fmt.Errorf("worker busy time = 0 (worker counters disconnected)")
-		}
-		if err := requireWait(m, "ExchangeWorkerIdle", false); err != nil {
-			return err
-		}
-	}
-	if ranWriters {
-		if m.Pager.WALSyncs == 0 {
-			return fmt.Errorf("WAL syncs = 0 (fsync counters disconnected)")
-		}
-		if m.Pager.WALGroupedCommits == 0 || m.CommitGroups.Count == 0 {
-			return fmt.Errorf("grouped commits = 0 (commits-per-fsync counters disconnected)")
-		}
-		for _, class := range []string{"AdmissionShared", "WALGroupFsync"} {
-			if err := requireWait(m, class, true); err != nil {
-				return err
-			}
-		}
-		for _, class := range []string{"WALAppend", "MutationWindow"} {
-			if err := requireWait(m, class, false); err != nil {
-				return err
-			}
-		}
-		if m.FlightEvents == 0 {
-			return fmt.Errorf("flight recorder events = 0 (flight recorder disconnected)")
-		}
-	}
-	if ranStorage {
-		if len(m.PagerShards) == 0 {
-			return fmt.Errorf("per-shard pager stats empty (shard counters disconnected)")
-		}
-		if m.Engine.BgCheckpoints == 0 {
-			return fmt.Errorf("background checkpoints = 0 (checkpointer counters disconnected)")
-		}
-		if err := requireWait(m, "PagerLatch", true); err != nil {
-			return err
-		}
-		if err := requireWait(m, "CheckpointBackpressure", false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// requireWait checks that a wait-event class actually fired during the
-// sweep; with needTime it additionally demands nonzero blocked time. A
-// dead class means a recording point was disconnected (e.g. a lock
-// acquisition reverted to a bare Lock() without StartWait), not that the
-// workload was contention-free: the writer experiments are built to
-// contend.
-func requireWait(m engine.Metrics, class string, needTime bool) error {
-	wc, ok := m.Waits.Classes[class]
-	if !ok || wc.Count == 0 {
-		return fmt.Errorf("wait class %s never fired (wait-event recording point disconnected)", class)
-	}
-	if needTime && wc.TotalNanos == 0 {
-		return fmt.Errorf("wait class %s fired %d times with zero blocked time (wait timing disconnected)", class, wc.Count)
+	if wc := m.Waits.Classes["ODCICallback"]; wc.Count == 0 {
+		return fmt.Errorf("wait class ODCICallback never fired (wait-event recording point disconnected)")
 	}
 	return nil
 }

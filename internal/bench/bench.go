@@ -1,12 +1,14 @@
 // Package bench is the experiment harness: one function per experiment
-// of EXPERIMENTS.md (E1–E10), each building its own database, running the
-// paper's comparison, and returning a printable table. The root
-// bench_test.go wraps these as testing.B benchmarks; cmd/benchrunner
-// prints the full sweep.
+// of EXPERIMENTS.md (E1–E10, A1), each building its own database, running
+// the paper's comparison, and returning a printable table. Experiments
+// lists them; the root bench_test.go wraps it as testing.B benchmarks
+// and cmd/benchrunner prints the full sweep.
 package bench
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -70,20 +72,62 @@ func (t Table) Format() string {
 	return out
 }
 
-// All runs every experiment in order.
-func All(cfg Config) []Table {
-	return []Table{
-		E1IndexVsFunctional(cfg),
-		E2TextPre8iVs8i(cfg),
-		E3SpatialTileJoinVsOperator(cfg),
-		E4VIRPhases(cfg),
-		E5ChemFileVsLOB(cfg),
-		E6OptimizerChoice(cfg),
-		E7ScanContext(cfg),
-		E8BatchFetch(cfg),
-		E9MaintenanceOverhead(cfg),
-		E10CollectionIndex(cfg),
+// Experiment is one entry of the experiment table.
+type Experiment struct {
+	ID  string
+	Run func(Config) Table
+}
+
+// Experiments is every experiment in order: the paper-reproduction
+// tables E1–E10 and the A1 ablation. cmd/benchrunner and the root
+// bench_test.go both range over it.
+var Experiments = []Experiment{
+	{"E1", E1IndexVsFunctional},
+	{"E2", E2TextPre8iVs8i},
+	{"E3", E3SpatialTileJoinVsOperator},
+	{"E4", E4VIRPhases},
+	{"E5", E5ChemFileVsLOB},
+	{"E6", E6OptimizerChoice},
+	{"E7", E7ScanContext},
+	{"E8", E8BatchFetch},
+	{"E9", E9MaintenanceOverhead},
+	{"E10", E10CollectionIndex},
+	{"A1", A1CallbacksVsDirect},
+}
+
+// Select resolves a comma-separated id list (case-insensitive, blanks
+// ignored) to experiments in table order; the empty list selects all.
+// An id that names no experiment is an error listing the valid ones,
+// so a stale script fails instead of running nothing.
+func Select(only string) ([]Experiment, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			want[id] = true
+		}
 	}
+	if len(want) == 0 {
+		return Experiments, nil
+	}
+	var picked []Experiment
+	valid := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		valid[i] = e.ID
+		if want[e.ID] {
+			picked = append(picked, e)
+			delete(want, e.ID)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment id %s (valid: %s)",
+			strings.Join(unknown, ","), strings.Join(valid, ","))
+	}
+	return picked, nil
 }
 
 // ---------------------------------------------------------------------------

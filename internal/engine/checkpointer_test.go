@@ -116,7 +116,6 @@ func TestBackgroundCheckpointerSkipsWhileWriterOpen(t *testing.T) {
 func TestBackgroundCheckpointerBackpressure(t *testing.T) {
 	db := openCkptDB(t, Options{
 		CacheSizePages:       16,
-		PagerShards:          2,
 		CheckpointWALBytes:   1 << 40,
 		CheckpointDirtyPages: 1 << 40,
 	})

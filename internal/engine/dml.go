@@ -143,8 +143,9 @@ func (s *Session) validateValue(tbl *catalog.Table, col catalog.Column, v types.
 	return nil
 }
 
-// maintainDomainInsert invokes ODCIIndexInsert for every domain index on
-// the affected column.
+// maintainDomain calls fn once per domain index on tbl, handing it the
+// index's methods and a maintenance-mode server; the INSERT, UPDATE and
+// DELETE paths pass the ODCIIndexInsert/Update/Delete invocation as fn.
 func (s *Session) maintainDomain(tbl *catalog.Table, fn func(m extidx.IndexMethods, srv extidx.Server, info extidx.IndexInfo, ix *catalog.Index) error) error {
 	for _, ix := range s.db.cat.TableIndexes(tbl.Name) {
 		if ix.Kind != catalog.DomainIndex {
@@ -300,13 +301,14 @@ func (s *Session) matchTargets(tbl *catalog.Table, where sql.Expr, params []type
 	}
 	var rids []storage.RID
 	var rows [][]types.Value
+	var full []types.Value // row + ROWID for the predicate, reused across rows
 	err := tbl.Heap.Scan(func(rid storage.RID, img []byte) (bool, error) {
 		row, _, err := types.DecodeRow(img)
 		if err != nil {
 			return false, err
 		}
 		if pred != nil {
-			full := append(append([]types.Value(nil), row...), types.Int(rid.Int64()))
+			full = append(append(full[:0], row...), types.Int(rid.Int64()))
 			v, err := pred(full)
 			if err != nil {
 				return false, err

@@ -41,24 +41,6 @@ type Options struct {
 	// without a WAL (there is no durable medium to recover from) unless a
 	// sink is injected.
 	WALSink storage.WALSink
-	// DisableWAL turns write-ahead logging off entirely, restoring the
-	// pre-WAL behaviour (durability only at Checkpoint/Close).
-	DisableWAL bool
-	// DisableWaitEvents turns wait-event recording off (the per-class
-	// table stays empty; StartWait sites still run but record nothing).
-	// Exists for overhead A/B measurement — production leaves it off.
-	DisableWaitEvents bool
-	// FlightRecorderSize overrides the flight-recorder ring capacity
-	// (rounded up to a power of two; default obs.DefaultFlightSize).
-	FlightRecorderSize int
-	// PagerShards is the buffer-pool shard count (pages are distributed
-	// by page-id hash; each shard has its own latch and clock hand).
-	// <= 0 means storage.DefaultPagerShards.
-	PagerShards int
-	// WALSegmentBytes is the payload capacity of one WAL segment when the
-	// engine opens the default file-backed segmented log (<= 0 means
-	// storage.DefaultWALSegmentBytes). Ignored when WALSink is injected.
-	WALSegmentBytes int64
 	// CheckpointWALBytes is the WAL-growth threshold that triggers the
 	// background checkpointer (<= 0 means DefaultCheckpointWALBytes).
 	CheckpointWALBytes int64
@@ -87,8 +69,8 @@ type DB struct {
 
 	// DefaultFetchBatch is the maxRows passed to ODCIIndexFetch (and the
 	// chunk size of domain scans). 0 lets the planner pick a batch size
-	// from the cardinality estimate (the paper's batch interface; E8 and
-	// B1 sweep this).
+	// from the cardinality estimate (the paper's batch interface; E8
+	// sweeps this).
 	DefaultFetchBatch int
 
 	// wal is the redo log, nil when logging is disabled. walMu serializes
@@ -409,18 +391,15 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	sink := opts.WALSink
-	if sink == nil && !opts.DisableWAL && opts.Path != "" && opts.Backend == nil {
+	if sink == nil && opts.Path != "" && opts.Backend == nil {
 		// The default file log is a directory of fixed-size recycled
 		// segments; a checkpoint retires segments back into the pool
 		// instead of growing one append-only file.
-		fs, err := storage.OpenFileSegmentedSink(opts.Path+".wal", opts.WALSegmentBytes)
+		fs, err := storage.OpenFileSegmentedSink(opts.Path+".wal", storage.DefaultWALSegmentBytes)
 		if err != nil {
 			return nil, err
 		}
 		sink = fs
-	}
-	if opts.DisableWAL {
-		sink = nil
 	}
 	var recovery storage.RecoveryInfo
 	if sink != nil {
@@ -434,7 +413,7 @@ func Open(opts Options) (*DB, error) {
 	if cache <= 0 {
 		cache = 4096
 	}
-	pager := storage.NewPagerShards(backend, cache, opts.PagerShards)
+	pager := storage.NewPager(backend, cache)
 	db := &DB{
 		pager:             pager,
 		txns:              txn.NewManager(),
@@ -456,8 +435,7 @@ func Open(opts Options) (*DB, error) {
 	// idle cost is one pointer's worth of state per DB). All of this
 	// happens before any session exists, so the plain-field stores are
 	// safe.
-	db.flight = obs.NewFlightRecorder(opts.FlightRecorderSize)
-	db.waits.SetDisabled(opts.DisableWaitEvents)
+	db.flight = obs.NewFlightRecorder(obs.DefaultFlightSize)
 	db.waits.SetSlowWaitThreshold(slowWaitThreshold)
 	db.waits.AttachFlight(db.flight)
 	db.odci.AttachWaits(&db.waits)

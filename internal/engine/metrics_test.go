@@ -345,8 +345,8 @@ func TestWALAndAdmissionCountersFileBacked(t *testing.T) {
 	if m.Engine.MutWaits == 0 {
 		t.Errorf("mutation-window entries not counted: %+v", m.Engine)
 	}
-	if m.Pager.WALGroupedCommits == 0 {
-		t.Errorf("grouped-commit counter dead: %+v", m.Pager)
+	if m.Pager.WALSyncs == 0 || m.Pager.WALGroupedCommits == 0 {
+		t.Errorf("fsync / grouped-commit counters dead: %+v", m.Pager)
 	}
 	if m.CommitGroups.Count == 0 || m.CommitGroups.Mean() < 1 {
 		t.Errorf("commit-group histogram dead: %+v", m.CommitGroups)

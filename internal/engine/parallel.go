@@ -28,13 +28,12 @@ const morselsPerWorker = 4
 
 // pathDegree returns the worker count the session will run path with:
 // the session's requested degree, or 1 when the path is not
-// parallel-eligible, the row estimate is small, or the session drains
-// row-at-a-time. An explicit SetParallel(n) is honored as-is — the
+// parallel-eligible or the row estimate is small. An explicit SetParallel(n) is honored as-is — the
 // GOMAXPROCS cap applies only to auto mode (SetParallel(0)), so a
 // degree-8 parity test behaves identically on a 1-core and a 64-core
 // box.
 func (s *Session) pathDegree(path accessPath) int {
-	if s.parallel <= 1 || s.rowMode {
+	if s.parallel <= 1 {
 		return 1
 	}
 	if path.parHeap == nil && path.parDom == nil {

@@ -490,7 +490,7 @@ func (s *Session) buildBTreeScan(tb *tableBinding, ix *catalog.Index, sg sargInf
 			return nil, err
 		}
 	}
-	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids), PerRow: s.rowMode}, nil
+	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids)}, nil
 }
 
 func keyPrefix(key []byte, n int) []byte {
@@ -537,7 +537,7 @@ func (s *Session) buildHashScan(tb *tableBinding, ix *catalog.Index, sg sargInfo
 		}
 		rids = append(rids, row[0].Int64())
 	}
-	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids), PerRow: s.rowMode}, nil
+	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids)}, nil
 }
 
 func (s *Session) buildBitmapScan(tb *tableBinding, ix *catalog.Index, sg sargInfo) (exec.Iterator, error) {
@@ -549,7 +549,7 @@ func (s *Session) buildBitmapScan(tb *tableBinding, ix *catalog.Index, sg sargIn
 			return true
 		})
 	}
-	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids), PerRow: s.rowMode}, nil
+	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids)}, nil
 }
 
 // domainPaths proposes domain index scans for user-operator conjuncts.
@@ -617,7 +617,6 @@ func (s *Session) domainPaths(tb *tableBinding, conjuncts []sql.Expr, params []t
 						BatchSize: batch,
 						Label:     pred.label,
 						Sink:      s,
-						PerRow:    s.rowMode,
 					}, nil
 				},
 			}
@@ -1025,7 +1024,6 @@ func (s *Session) planJoin(tbs []*tableBinding, conjuncts []sql.Expr, params []t
 					Call:      extidx.OperatorCall{Name: dj.opName, Args: args, Relop: dj.relop, Bound: dj.bound},
 					Heap:      inner.tbl.Heap,
 					BatchSize: pickFetchBatch(s.db.DefaultFetchBatch, 0),
-					PerRow:    s.rowMode,
 				}
 				if len(innerConj) > 0 {
 					inIt = &exec.Filter{Child: inIt, Pred: innerPred}

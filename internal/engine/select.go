@@ -37,22 +37,14 @@ func (s *Session) runSelect(sel *sql.Select, params []types.Value) (*ResultSet, 
 	return s.drainResult(it, schema)
 }
 
-// drainResult materializes the pipeline's output. The default path pulls
-// chunks straight out of the batch executor; row mode (SetRowMode) drains
-// through a RowAdapter instead — the row-at-a-time baseline benchmarks
-// compare against.
+// drainResult materializes the pipeline's output, pulling chunks
+// straight out of the batch executor.
 func (s *Session) drainResult(it exec.Iterator, schema *exec.Schema) (*ResultSet, error) {
 	cols := make([]string, len(schema.Cols))
 	for i, c := range schema.Cols {
 		cols[i] = c.Name
 	}
-	var rows []exec.Row
-	var err error
-	if s.rowMode {
-		rows, err = exec.DrainRows(it)
-	} else {
-		rows, err = exec.Drain(it)
-	}
+	rows, err := exec.Drain(it)
 	if err != nil {
 		return nil, err
 	}

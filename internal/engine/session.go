@@ -50,16 +50,11 @@ type Session struct {
 	// hook, see SetForcedPath).
 	forced string
 
-	// rowMode drains queries row-at-a-time through a RowAdapter and
-	// degrades scans to per-row heap reads — the volcano baseline the
-	// batch-sweep benchmark compares against (see SetRowMode).
-	rowMode bool
-
 	// parallel is the session's requested degree of parallelism for
 	// eligible table accesses (see SetParallel). <= 1 means serial — the
 	// default, so existing single-threaded behavior is opt-out of
 	// nothing; the planner may still drop an eligible scan to serial
-	// (small estimate, row mode, ancillary labels).
+	// (small estimate, ancillary labels).
 	parallel int
 
 	// trace, while non-nil, is the active query trace: the planner
@@ -79,17 +74,12 @@ func (db *DB) NewSession() *Session {
 // DB returns the owning database.
 func (s *Session) DB() *DB { return s.db }
 
-// SetRowMode toggles row-at-a-time execution for this session: results
-// are drained through a RowAdapter and scans do one heap read per row.
-// It exists so benchmarks and tests can compare the volcano baseline
-// against the batch path; normal sessions leave it off.
-func (s *Session) SetRowMode(on bool) { s.rowMode = on }
-
 // SetParallel sets the session's degree of parallelism for eligible
 // table accesses. n <= 1 (1 is the default) keeps every plan serial.
 // n > 1 lets the planner run full heap scans and partitioned domain
-// scans behind an exchange with up to n workers, capped at GOMAXPROCS.
-// n == 0 means "auto": use GOMAXPROCS. Parallel plans return rows in
+// scans behind an exchange with n workers; an explicit degree is
+// honoured as given, whatever GOMAXPROCS is (see pathDegree). n == 0
+// means "auto": use GOMAXPROCS. Parallel plans return rows in
 // nondeterministic order unless the query has an ORDER BY; the degree
 // actually chosen per scan appears as parallel=<n> in EXPLAIN output.
 func (s *Session) SetParallel(n int) {

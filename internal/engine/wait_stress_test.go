@@ -217,9 +217,14 @@ func TestExplainAnalyzeParallelDomainWaitBreakdown(t *testing.T) {
 	}
 	// The exchange class belongs to the whole DB table, not just this
 	// query; it must at least have fired by now.
-	if db.Metrics().Waits.Classes["ExchangeWorkerIdle"].Count == 0 {
+	met := db.Metrics()
+	if met.Waits.Classes["ExchangeWorkerIdle"].Count == 0 {
 		t.Errorf("ExchangeWorkerIdle never fired during a parallel scan: %+v",
-			db.Metrics().Waits.Classes)
+			met.Waits.Classes)
+	}
+	// The parallel-executor counters must reach DB.Metrics() too.
+	if met.Exec.Exchanges == 0 || met.Exec.MorselsDispatched == 0 || met.Exec.WorkerBusyNanos == 0 {
+		t.Errorf("parallel-executor counters disconnected after a parallel scan: %+v", met.Exec)
 	}
 }
 

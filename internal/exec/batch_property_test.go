@@ -293,7 +293,7 @@ func checkPlanParity(t *testing.T, ops []planOp, base []Row) bool {
 			return false
 		}
 	}
-	rows, err := DrainRows(buildPlan(ops, base))
+	rows, err := drainRows(buildPlan(ops, base), 0)
 	if err != nil {
 		t.Errorf("script %q row path: %v", planScript(ops), err)
 		return false
@@ -514,22 +514,28 @@ func TestDomainScanBatchEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, perRow := range []bool{false, true} {
+			for _, mode := range []string{"chunk", "rows"} {
 				m := &scriptedMethods{batches: tc.batches}
-				scan := &DomainScan{Methods: m, Heap: h, BatchSize: 4, PerRow: perRow}
-				rows, err := Drain(scan)
+				scan := &DomainScan{Methods: m, Heap: h, BatchSize: 4}
+				var rows []Row
+				var err error
+				if mode == "chunk" {
+					rows, err = Drain(scan)
+				} else {
+					rows, err = drainRows(scan, 1)
+				}
 				if err != nil {
-					t.Fatalf("perRow=%v: %v", perRow, err)
+					t.Fatalf("%s: %v", mode, err)
 				}
 				got := domainScanRowIDs(t, rows)
 				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-					t.Errorf("perRow=%v: rows %v, want %v", perRow, got, tc.want)
+					t.Errorf("%s: rows %v, want %v", mode, got, tc.want)
 				}
 				if m.fetches != tc.fetches {
-					t.Errorf("perRow=%v: %d Fetch calls, want %d", perRow, m.fetches, tc.fetches)
+					t.Errorf("%s: %d Fetch calls, want %d", mode, m.fetches, tc.fetches)
 				}
 				if m.closes != 1 {
-					t.Errorf("perRow=%v: Close called %d times", perRow, m.closes)
+					t.Errorf("%s: Close called %d times", mode, m.closes)
 				}
 			}
 		})
@@ -559,7 +565,7 @@ func TestDomainScanAncillaryPublishing(t *testing.T) {
 		if mode == "chunk" {
 			_, err = drainWith(scan, 2)
 		} else {
-			_, err = DrainRows(scan)
+			_, err = drainRows(scan, 0)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)

@@ -113,60 +113,6 @@ func (c *Chunk) PublishRow(i int) {
 	c.Sink.SetAncillary(c.Label, c.Anc[i])
 }
 
-// ---------------------------------------------------------------------------
-// Row adapter
-
-// RowAdapter exposes a batch iterator one row at a time for call sites
-// that genuinely need single rows (result cursors in row mode, tests).
-// It buffers one chunk and publishes each row's ancillary value as the
-// row is handed out, which restores the volcano-era ordering guarantee:
-// by the time a caller evaluates expressions over the returned row, the
-// sink holds that row's ancillary value.
-type RowAdapter struct {
-	Child Iterator
-	// BatchSize is the chunk size pulled from the child (<= 0 selects
-	// DefaultChunkSize).
-	BatchSize int
-
-	buf  *Chunk
-	pos  int
-	done bool
-}
-
-// Next returns the next row, or (nil, nil) at end of stream.
-func (a *RowAdapter) Next() (Row, error) {
-	for {
-		if a.buf != nil && a.pos < a.buf.Len() {
-			a.buf.PublishRow(a.pos)
-			r := a.buf.Rows[a.pos]
-			a.pos++
-			return r, nil
-		}
-		if a.done {
-			return nil, nil
-		}
-		if a.buf == nil {
-			a.buf = NewChunk(a.BatchSize)
-		}
-		if err := a.Child.NextBatch(a.buf); err != nil {
-			return nil, err
-		}
-		a.pos = 0
-		if a.buf.Len() == 0 {
-			a.done = true
-			return nil, nil
-		}
-	}
-}
-
-// NextBatch delegates to the child, so a RowAdapter still satisfies the
-// batch Iterator contract (do not interleave it with Next on the same
-// adapter: rows buffered for Next would be skipped).
-func (a *RowAdapter) NextBatch(c *Chunk) error { return a.Child.NextBatch(c) }
-
-// Close closes the underlying iterator.
-func (a *RowAdapter) Close() error { return a.Child.Close() }
-
 // Drain pulls every row out of a batch iterator chunk-wise and closes it.
 func Drain(it Iterator) ([]Row, error) {
 	defer it.Close()
@@ -180,23 +126,5 @@ func Drain(it Iterator) ([]Row, error) {
 			return out, nil
 		}
 		out = append(out, c.Rows...)
-	}
-}
-
-// DrainRows pulls every row through a RowAdapter — the row-at-a-time
-// path — and closes the iterator. Parity tests compare it against Drain.
-func DrainRows(it Iterator) ([]Row, error) {
-	a := &RowAdapter{Child: it}
-	defer a.Close()
-	var out []Row
-	for {
-		r, err := a.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			return out, nil
-		}
-		out = append(out, r)
 	}
 }

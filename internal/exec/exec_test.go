@@ -444,10 +444,9 @@ func BenchmarkFilterPipeline(b *testing.B) {
 	})
 }
 
-// BenchmarkRIDFetchPath is the row-adapter vs chunk comparison on the
-// table-access stage, where the batch protocol pays off: row mode does
-// one pager pin/unpin per row, chunk mode one page-sorted batched read
-// per chunk.
+// BenchmarkRIDFetchPath sweeps the chunk size on the table-access
+// stage, where the batch protocol pays off: chunk size 1 does one pager
+// pin/unpin per row, larger chunks one page-sorted batched read each.
 func BenchmarkRIDFetchPath(b *testing.B) {
 	p := storage.NewPager(storage.NewMemBackend(), 512)
 	h, err := storage.CreateHeap(p)
@@ -463,17 +462,7 @@ func BenchmarkRIDFetchPath(b *testing.B) {
 		}
 		rids[i] = rid.Int64()
 	}
-	b.Run("row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it := &RIDFetch{Heap: h, Src: SliceRIDSource(rids), PerRow: true}
-			rows, err := DrainRows(it)
-			if err != nil || len(rows) != n {
-				b.Fatal(len(rows), err)
-			}
-		}
-	})
-	for _, batch := range []int{64, 256, 1024} {
+	for _, batch := range []int{1, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("chunk-%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -475,9 +475,6 @@ func fetchRows(h *storage.Heap, rids []int64, c *Chunk) error {
 type RIDFetch struct {
 	Heap *storage.Heap
 	Src  func() (int64, bool, error) // next RID; ok=false at end
-	// PerRow degrades to one heap read per batch — the row-at-a-time
-	// baseline the batch-sweep benchmark compares against.
-	PerRow bool
 
 	rids []int64
 }
@@ -485,9 +482,6 @@ type RIDFetch struct {
 // NextBatch implements Iterator.
 func (f *RIDFetch) NextBatch(c *Chunk) error {
 	c.Reset()
-	if f.PerRow {
-		return f.fetchOne(c)
-	}
 	f.rids = f.rids[:0]
 	for len(f.rids) < c.Max() {
 		rid, ok, err := f.Src()
@@ -500,25 +494,6 @@ func (f *RIDFetch) NextBatch(c *Chunk) error {
 		f.rids = append(f.rids, rid)
 	}
 	return fetchRows(f.Heap, f.rids, c)
-}
-
-// fetchOne emits a single row via the per-row heap path.
-func (f *RIDFetch) fetchOne(c *Chunk) error {
-	rid, ok, err := f.Src()
-	if err != nil || !ok {
-		return err
-	}
-	img, err := f.Heap.Get(storage.RIDFromInt64(rid))
-	if err != nil {
-		return err
-	}
-	row, _, err := types.DecodeRow(img)
-	if err != nil {
-		return err
-	}
-	c.Rows = append(c.Rows, append(row, types.Int(rid)))
-	c.RIDs = append(c.RIDs, rid)
-	return nil
 }
 
 // Close implements Iterator.
@@ -565,9 +540,6 @@ type DomainScan struct {
 	// ancillary wiring).
 	Label int64
 	Sink  AncillarySink
-	// PerRow degrades the scan to one row per batch with a per-row heap
-	// read — the volcano baseline for the batch-sweep benchmark.
-	PerRow bool
 	// Fetches counts this scan's ODCIIndexFetch crossings: one atomic
 	// per-scan counter replacing the former plain-int/shared-pointer
 	// pair. Engine-wide totals come from the ODCI boundary observer
@@ -606,9 +578,6 @@ func (d *DomainScan) NextBatch(c *Chunk) error {
 	}
 	for {
 		if d.pos < len(d.buf) {
-			if d.PerRow {
-				return d.emitOne(c)
-			}
 			return d.emitBatch(c)
 		}
 		if d.done {
@@ -648,31 +617,6 @@ func (d *DomainScan) emitBatch(c *Chunk) error {
 				c.Anc = append(c.Anc, types.Null())
 			}
 		}
-	}
-	return nil
-}
-
-// emitOne emits a single buffered row via the per-row heap path.
-func (d *DomainScan) emitOne(c *Chunk) error {
-	rid := d.buf[d.pos]
-	av := types.Null()
-	if d.anc != nil {
-		av = d.anc[d.pos]
-	}
-	d.pos++
-	img, err := d.Heap.Get(storage.RIDFromInt64(rid))
-	if err != nil {
-		return err
-	}
-	row, _, err := types.DecodeRow(img)
-	if err != nil {
-		return err
-	}
-	c.Rows = append(c.Rows, append(row, types.Int(rid)))
-	c.RIDs = append(c.RIDs, rid)
-	if d.Label != 0 && d.Sink != nil {
-		c.Label, c.Sink = d.Label, d.Sink
-		c.Anc = append(c.Anc, av)
 	}
 	return nil
 }

@@ -4,8 +4,7 @@
 // sorts, joins, RID lookups, and the pipelined domain-index scan that
 // drives a cartridge's ODCIIndexStart/Fetch/Close routines as a row
 // source. Operators exchange bounded Chunks of rows rather than single
-// tuples, so an ODCI Fetch batch flows through the plan tree intact; a
-// RowAdapter restores row-at-a-time access where a caller needs it.
+// tuples, so an ODCI Fetch batch flows through the plan tree intact.
 package exec
 
 import (

@@ -114,14 +114,9 @@ type WaitStats struct {
 	classes   [NumWaitClasses]waitCounters
 	durations Histogram
 
-	disabled  atomic.Bool
 	slowNanos atomic.Int64                  // threshold for EvSlowWait flight events; 0 = off
 	flight    atomic.Pointer[FlightRecorder] // receives EvSlowWait events when set
 }
-
-// SetDisabled turns recording off (overhead A/B measurement). StartWait
-// still returns a usable ActiveWait whose Done measures the interval.
-func (w *WaitStats) SetDisabled(v bool) { w.disabled.Store(v) }
 
 // SetSlowWaitThreshold makes Done emit an EvSlowWait flight event for
 // any wait at or above d. Zero disables slow-wait events.
@@ -139,9 +134,9 @@ type ActiveWait struct {
 }
 
 // StartWait begins timing a wait of the given class. Always pair with
-// Done. The returned value is valid even on a nil receiver or when
-// recording is disabled — Done still measures and returns the elapsed
-// nanoseconds so callsites can feed legacy gauges unconditionally.
+// Done. The returned value is valid even on a nil receiver — Done still
+// measures and returns the elapsed nanoseconds so callsites can feed
+// legacy gauges unconditionally.
 func (w *WaitStats) StartWait(class WaitClass) ActiveWait {
 	return ActiveWait{w: w, class: class, start: time.Now()}
 }
@@ -169,7 +164,7 @@ func (w *WaitStats) Record(class WaitClass, n int64) {
 // latch was slow but which one. The table itself stays per-class; aux
 // costs nothing unless the wait crosses the slow threshold.
 func (w *WaitStats) RecordAux(class WaitClass, n int64, aux string) {
-	if w == nil || w.disabled.Load() || class < 0 || class >= NumWaitClasses {
+	if w == nil || class < 0 || class >= NumWaitClasses {
 		return
 	}
 	if n < 0 {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // stampPage fills a page's bytes with a value derived from (id, version)
@@ -148,6 +151,8 @@ func TestShardedPagerConcurrentHammer(t *testing.T) {
 		loops    = 2000
 	)
 	p := NewPagerShards(NewMemBackend(), hotPages+writers+8, 8)
+	var waits obs.WaitStats
+	p.SetWaitStats(&waits)
 	defer func() {
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
@@ -175,12 +180,19 @@ func TestShardedPagerConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
+	// Hold one hot shard's latch while the goroutines start, so the
+	// contended acquisition path (WaitPagerLatch) is exercised
+	// deterministically rather than by scheduling luck.
+	held := &p.shards[p.shardIndex(hot[0])]
+	held.mu.Lock()
+	var wg, started sync.WaitGroup
+	started.Add(readers)
 	errs := make(chan error, readers+writers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			started.Done()
 			rng := rand.New(rand.NewSource(int64(r)))
 			for i := 0; i < loops; i++ {
 				id := hot[rng.Intn(len(hot))]
@@ -212,6 +224,9 @@ func TestShardedPagerConcurrentHammer(t *testing.T) {
 			}
 		}(w)
 	}
+	started.Wait()
+	time.Sleep(2 * time.Millisecond)
+	held.mu.Unlock()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -220,6 +235,11 @@ func TestShardedPagerConcurrentHammer(t *testing.T) {
 
 	if leaked := p.PinnedPages(); len(leaked) > 0 {
 		t.Fatalf("pinned pages after hammer: %v", leaked)
+	}
+	// Readers blocked on the held latch, so the contended path must
+	// have recorded waits with real blocked time.
+	if wc := waits.Snapshot().Classes["PagerLatch"]; wc.Count == 0 || wc.TotalNanos == 0 {
+		t.Fatalf("PagerLatch wait class after contended hammer: %+v, want count and time > 0", wc)
 	}
 	s := p.Stats()
 	if s.Fetches != s.Hits+s.Misses {

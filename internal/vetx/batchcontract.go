@@ -13,14 +13,13 @@ import (
 //
 //  1. A type that looks like a legacy row iterator — it declares
 //     Next() (row, error) and Close() but no NextBatch — no longer
-//     satisfies exec.Iterator; the batch-first refactor requires every
-//     operator to implement NextBatch (RowAdapter keeps both, which is
-//     the sanctioned shape).
+//     satisfies exec.Iterator; every operator must implement
+//     NextBatch.
 //  2. A batch operator must not call Heap.Get inside a per-row loop:
 //     that re-serializes a chunk into one pager pin per row, which is
 //     exactly the cost the page-sorted Heap.GetBatchFunc exists to
-//     avoid. Single-row helpers (per-row baseline modes) may call Get
-//     straight-line; loops must go through the batched read.
+//     avoid. A single-row lookup may call Get straight-line; loops
+//     must go through the batched read.
 func Batchcontract() *Analyzer {
 	return &Analyzer{
 		Name: "batchcontract",
@@ -69,7 +68,7 @@ func batchcontractIterators(pkg *Package) []Finding {
 		out = append(out, Finding{
 			Analyzer: "batchcontract",
 			Pos:      pkg.Fset.Position(fd.Name.Pos()),
-			Message: fmt.Sprintf("%s declares row-at-a-time Next/Close but no NextBatch; exec.Iterator is chunk-based — implement NextBatch(*Chunk) error (or wrap with RowAdapter)",
+			Message: fmt.Sprintf("%s declares row-at-a-time Next/Close but no NextBatch; exec.Iterator is chunk-based — implement NextBatch(*Chunk) error",
 				recv),
 		})
 	})

@@ -32,14 +32,6 @@ type batchScan struct{}
 func (b *batchScan) NextBatch(c *Chunk) error { return nil }
 func (b *batchScan) Close() error             { return nil }
 
-// adapterScan keeps a row-mode Next alongside NextBatch (RowAdapter
-// pattern) — allowed.
-type adapterScan struct{}
-
-func (a *adapterScan) Next() (Row, error)     { return nil, nil }
-func (a *adapterScan) NextBatch(c *Chunk) error { return nil }
-func (a *adapterScan) Close() error           { return nil }
-
 // notAnIterator has a two-result Next but no Close; it is not an
 // operator, so rule 1 leaves it alone.
 type notAnIterator struct{}
@@ -68,7 +60,7 @@ func nestedFetch(heap heapT, groups [][]int64) {
 	}
 }
 
-// singleFetch calls Get straight-line (per-row baseline helper) — clean.
+// singleFetch calls Get straight-line (a single-row lookup) — clean.
 func singleFetch(op fetchOp, rid int64) ([]byte, error) { return op.Heap.Get(rid) }
 
 // batchedFetch uses the page-sorted batch read inside its loop — clean.

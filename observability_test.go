@@ -175,6 +175,9 @@ func TestMetricsThroughPublicAPI(t *testing.T) {
 	if m.ODCI.Callbacks["ODCIIndexFetch"].Calls == 0 || m.Planner.Plans == 0 || m.Txn.Commits == 0 {
 		t.Errorf("metrics incomplete: %+v", m)
 	}
+	if len(m.PagerShards) == 0 {
+		t.Error("Metrics.PagerShards empty (per-shard pager counters disconnected)")
+	}
 	if len(slow) == 0 {
 		t.Fatal("slow-query hook never fired at threshold 0")
 	}
