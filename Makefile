@@ -7,7 +7,9 @@ RACE_PKGS = repro/internal/txn repro/internal/storage repro/internal/engine repr
 build:
 	$(GO) build ./...
 
+## vet: gofmt gate (fails listing any unformatted file), then go vet
 vet:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -tags invariants ./...
 

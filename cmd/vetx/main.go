@@ -1,24 +1,18 @@
 // Command vetx runs the repo's codebase-specific static analyzers (see
 // internal/vetx): the per-function contract checks plus the
-// interprocedural lock-order, callback-under-lock, chunk-aliasing and
-// atomic-mixing analyses. Usage:
+// interprocedural lock-order, callback-under-lock and chunk-aliasing
+// analyses. Usage:
 //
 //	go run ./cmd/vetx ./...
 //	go run ./cmd/vetx -list
-//	go run ./cmd/vetx -json ./... > findings.json
 //	go run ./cmd/vetx ./internal/storage ./internal/btree/...
 //
 // Exit status contract (CI and the Makefile `lint` target depend on it):
 // 0 = clean, 1 = at least one finding survived suppression, 2 = the
 // packages could not be loaded or type-checked.
-//
-// -json writes the findings as a JSON array of {file, line, col,
-// analyzer, message} objects on stdout (an empty array when clean); the
-// human summary still goes to stderr.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,18 +20,8 @@ import (
 	"repro/internal/vetx"
 )
 
-// jsonFinding is the machine-readable projection of a vetx.Finding.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as JSON on stdout")
 	flag.Parse()
 
 	analyzers := vetx.DefaultAnalyzers()
@@ -65,26 +49,8 @@ func main() {
 		fatal(err)
 	}
 	findings := vetx.Run(pkgs, analyzers)
-	if *asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:     f.Pos.Filename,
-				Line:     f.Pos.Line,
-				Col:      f.Pos.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "vetx: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))

@@ -752,55 +752,71 @@ func TestCrashFailedSyncDoesNotResurrect(t *testing.T) {
 // TestCrashCheckpointRefusedWithOpenTxn pins Checkpoint's enforcement:
 // while a write transaction is open it returns ErrTxnOpen instead of
 // durably committing uncommitted pages, Close degrades to a discard
-// (recovery's job), and reopening shows only acknowledged data.
+// (recovery's job), and reopening shows only acknowledged data. An
+// in-memory database runs the same commit path over its own memory log,
+// so the refusal holds there too (it has nothing to reopen).
 func TestCrashCheckpointRefusedWithOpenTxn(t *testing.T) {
 	backend := storage.NewMemBackend()
 	sink := storage.NewMemWALSink()
-	db, err := extdb.Open(extdb.Options{Backend: backend, WALSink: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := db.NewSession()
-	if _, err := s.Exec(`CREATE TABLE Docs(id NUMBER, body VARCHAR2)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(`INSERT INTO Docs VALUES (1, 'committed')`); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(`INSERT INTO Docs VALUES (2, 'uncommitted')`); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); !errors.Is(err, extdb.ErrTxnOpen) {
-		t.Fatalf("checkpoint with open write transaction = %v, want ErrTxnOpen", err)
-	}
-	// Close cannot checkpoint either; it must not flush the open
-	// transaction's pages on its way out.
-	if err := db.Close(); !errors.Is(err, extdb.ErrTxnOpen) {
-		t.Fatalf("close with open write transaction = %v, want ErrTxnOpen", err)
-	}
+	for _, tc := range []struct {
+		name   string
+		opts   extdb.Options
+		reopen bool
+	}{
+		{"injected-log", extdb.Options{Backend: backend, WALSink: sink}, true},
+		{"in-memory", extdb.Options{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := extdb.Open(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := db.NewSession()
+			if _, err := s.Exec(`CREATE TABLE Docs(id NUMBER, body VARCHAR2)`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Exec(`INSERT INTO Docs VALUES (1, 'committed')`); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Exec(`INSERT INTO Docs VALUES (2, 'uncommitted')`); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); !errors.Is(err, extdb.ErrTxnOpen) {
+				t.Fatalf("checkpoint with open write transaction = %v, want ErrTxnOpen", err)
+			}
+			// Close cannot checkpoint either; it must not flush the open
+			// transaction's pages on its way out.
+			if err := db.Close(); !errors.Is(err, extdb.ErrTxnOpen) {
+				t.Fatalf("close with open write transaction = %v, want ErrTxnOpen", err)
+			}
+			if !tc.reopen {
+				return
+			}
 
-	db2, err := extdb.Open(extdb.Options{Backend: backend, WALSink: sink})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer func() {
-		if err := db2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	rs, err := db2.NewSession().Query(`SELECT id FROM Docs ORDER BY id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []int64
-	for _, r := range rs.Rows {
-		ids = append(ids, r[0].Int64())
-	}
-	if want := []int64{1}; !reflect.DeepEqual(ids, want) {
-		t.Fatalf("Docs after discarding close = %v, want %v (uncommitted data leaked)", ids, want)
+			db2, err := extdb.Open(tc.opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer func() {
+				if err := db2.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			rs, err := db2.NewSession().Query(`SELECT id FROM Docs ORDER BY id`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []int64
+			for _, r := range rs.Rows {
+				ids = append(ids, r[0].Int64())
+			}
+			if want := []int64{1}; !reflect.DeepEqual(ids, want) {
+				t.Fatalf("Docs after discarding close = %v, want %v (uncommitted data leaked)", ids, want)
+			}
+		})
 	}
 }
 

@@ -61,7 +61,10 @@ type ResultSet = engine.ResultSet
 // OBJECT, VARRAY).
 type Value = types.Value
 
-// Open creates or opens a database. An empty Path means in-memory.
+// Open creates or opens a database. An empty Path means in-memory: the
+// pages and the write-ahead log live in memory, every commit takes the
+// same logged path a file database does, and nothing outlives the
+// process.
 func Open(opts Options) (*DB, error) { return engine.Open(opts) }
 
 // ErrWALBroken is returned by commits after a write-ahead-log write has

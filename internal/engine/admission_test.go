@@ -15,16 +15,11 @@ import (
 	"repro/internal/storage"
 )
 
-// newWALDB opens an in-memory database governed by an in-memory WAL —
-// the configuration in which write admission, frame ownership and the
-// mutation window are all active.
+// newWALDB opens a small-pool in-memory database; like every database it
+// runs write admission, frame ownership and the mutation window.
 func newWALDB(t testing.TB) *DB {
 	t.Helper()
-	db, err := Open(Options{
-		Backend:        storage.NewMemBackend(),
-		WALSink:        storage.NewMemWALSink(),
-		CacheSizePages: 64,
-	})
+	db, err := Open(Options{CacheSizePages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,10 +127,10 @@ func (c *checkpointer) run() {
 	}
 }
 
-// startCheckpointer wires and starts the background checkpointer
-// (WAL-governed databases only, unless disabled by options).
+// startCheckpointer wires and starts the background checkpointer unless
+// options disable it.
 func (db *DB) startCheckpointer(opts Options, cachePages int) {
-	if db.wal == nil || opts.DisableBackgroundCheckpointer {
+	if opts.DisableBackgroundCheckpointer {
 		return
 	}
 	walBytes := opts.CheckpointWALBytes

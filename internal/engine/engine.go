@@ -37,9 +37,9 @@ type Options struct {
 	// the page space).
 	Backend storage.Backend
 	// WALSink, when non-nil, overrides the redo-log store. When nil, a
-	// file database logs to Path+".wal" and an in-memory database runs
-	// without a WAL (there is no durable medium to recover from) unless a
-	// sink is injected.
+	// file database logs to the segment directory Path+".wal" and any
+	// other database to an in-memory segmented log, which runs the same
+	// commit path and simply does not outlive the process.
 	WALSink storage.WALSink
 	// CheckpointWALBytes is the WAL-growth threshold that triggers the
 	// background checkpointer (<= 0 means DefaultCheckpointWALBytes).
@@ -73,7 +73,7 @@ type DB struct {
 	// sweeps this).
 	DefaultFetchBatch int
 
-	// wal is the redo log, nil when logging is disabled. walMu serializes
+	// wal is the redo log every commit goes through. walMu serializes
 	// commit-record appends and checkpoint truncation against each other.
 	// walBroken is set after any failed log write: the log tail is then
 	// suspect, so further commits are refused until the database is
@@ -85,13 +85,12 @@ type DB struct {
 	walBroken bool
 	recovery  storage.RecoveryInfo
 
-	// ckpt is the background checkpointer (nil when no WAL governs the
-	// database or the checkpointer is disabled). Set once in Open before
-	// any session exists; Close drains it before checkpointing.
+	// ckpt is the background checkpointer (nil when disabled by options).
+	// Set once in Open before any session exists; Close drains it before
+	// checkpointing.
 	ckpt *checkpointer
 
-	// Write concurrency (WAL-governed databases). Three layers replace
-	// the old single-writer gate:
+	// Write concurrency. Three layers replace the old single-writer gate:
 	//
 	//   - admission: an RWMutex taken shared by ordinary write
 	//     transactions (from their first write statement until they
@@ -144,13 +143,13 @@ type DB struct {
 	//vetx:lockorder storage.WAL.gmu < storage.SegmentedSink.mu
 	//vetx:lockorder storage.SegmentedSink.mu < storage.memSegMedium.mu
 	//vetx:lockorder storage.SegmentedSink.mu < storage.memSegSlot.mu
-	admission sync.RWMutex
-	admitMu   sync.Mutex         // guards admitted
-	admitted  map[*txn.Txn]bool  // open write txns → exclusive?
-	mutMu     sync.Mutex         // the mutation window
+	admission  sync.RWMutex
+	admitMu    sync.Mutex        // guards admitted
+	admitted   map[*txn.Txn]bool // open write txns → exclusive?
+	mutMu      sync.Mutex        // the mutation window
 	mutStateMu sync.Mutex        // guards mutOwner/mutDepth
-	mutOwner  int64              // txn holding the window (valid when mutDepth > 0)
-	mutDepth  int                // re-entry depth of the window
+	mutOwner   int64             // txn holding the window (valid when mutDepth > 0)
+	mutDepth   int               // re-entry depth of the window
 
 	// Observability aggregates (see metrics.go). planner counts costed
 	// plans and chosen path kinds; odci counts and times every callback
@@ -226,9 +225,6 @@ var ErrTxnOpen = errors.New("engine: checkpoint refused: a write transaction is 
 // the whole gap — Checkpoint refuses (ErrTxnOpen) whenever that map is
 // non-empty, even when its TryLock momentarily succeeds.
 func (db *DB) admitTxn(t *txn.Txn, exclusive bool) {
-	if db.wal == nil || t == nil {
-		return
-	}
 	db.admitMu.Lock()
 	ex, held := db.admitted[t]
 	db.admitMu.Unlock()
@@ -324,9 +320,6 @@ func (db *DB) needsExclusiveAdmission(tables []string) bool {
 // callback sessions (same txn) and rollback inside a failing statement
 // nest. Returns the paired exit.
 func (db *DB) enterMutation(txID int64, undo bool) (exit func()) {
-	if db.wal == nil {
-		return func() {}
-	}
 	db.mutStateMu.Lock()
 	if db.mutDepth > 0 && db.mutOwner == txID {
 		db.mutDepth++
@@ -358,11 +351,8 @@ func (db *DB) enterMutation(txID int64, undo bool) (exit func()) {
 }
 
 // RecoveryInfo reports what WAL replay did during Open (zero value when
-// no WAL is configured or the log was empty).
+// the log was empty).
 func (db *DB) RecoveryInfo() storage.RecoveryInfo { return db.recovery }
-
-// WALEnabled reports whether a write-ahead log governs this database.
-func (db *DB) WALEnabled() bool { return db.wal != nil }
 
 // FetchCalls reports the cumulative number of ODCIIndexFetch invocations,
 // read from the ODCI boundary observer (every registry-resolved scan is
@@ -372,11 +362,11 @@ func (db *DB) FetchCalls() int64 { return db.odci.Calls(obs.CbFetch) }
 // ResetFetchCalls zeroes the ODCIIndexFetch counter.
 func (db *DB) ResetFetchCalls() { db.odci.ResetCallback(obs.CbFetch) }
 
-// Open creates or opens a database. When a WAL governs the page space
-// (file databases by default, or any injected WALSink), Open first
-// replays the log — applying every committed transaction's page images
-// to the backend and discarding uncommitted ones — then checkpoints and
-// truncates the log, so a crash during recovery simply replays again.
+// Open creates or opens a database. Every database is governed by a WAL
+// (see Options.WALSink for where it lives): Open first replays the log —
+// applying every committed transaction's page images to the backend and
+// discarding uncommitted ones — then checkpoints and truncates the log,
+// so a crash during recovery simply replays again.
 func Open(opts Options) (*DB, error) {
 	backend := opts.Backend
 	if backend == nil {
@@ -391,23 +381,23 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	sink := opts.WALSink
-	if sink == nil && opts.Path != "" && opts.Backend == nil {
-		// The default file log is a directory of fixed-size recycled
-		// segments; a checkpoint retires segments back into the pool
-		// instead of growing one append-only file.
-		fs, err := storage.OpenFileSegmentedSink(opts.Path+".wal", storage.DefaultWALSegmentBytes)
-		if err != nil {
-			return nil, err
+	if sink == nil {
+		if opts.Path != "" && opts.Backend == nil {
+			// The default file log is a directory of fixed-size recycled
+			// segments; a checkpoint retires segments back into the pool
+			// instead of growing one append-only file.
+			fs, err := storage.OpenFileSegmentedSink(opts.Path+".wal", storage.DefaultWALSegmentBytes)
+			if err != nil {
+				return nil, err
+			}
+			sink = fs
+		} else {
+			sink = storage.NewMemSegmentedSink(storage.DefaultWALSegmentBytes)
 		}
-		sink = fs
 	}
-	var recovery storage.RecoveryInfo
-	if sink != nil {
-		info, err := storage.ReplayWAL(backend, sink)
-		if err != nil {
-			return nil, fmt.Errorf("engine: wal recovery: %w", err)
-		}
-		recovery = info
+	recovery, err := storage.ReplayWAL(backend, sink)
+	if err != nil {
+		return nil, fmt.Errorf("engine: wal recovery: %w", err)
 	}
 	cache := opts.CacheSizePages
 	if cache <= 0 {
@@ -443,13 +433,11 @@ func Open(opts Options) (*DB, error) {
 	db.locks.SetWaitStats(&db.waits)
 	db.txns.OnCommit(func(txID int64) { db.flight.Record(obs.EvCommit, txID, 0, "") })
 	db.txns.OnRollback(func(txID int64) { db.flight.Record(obs.EvRollback, txID, 0, "") })
-	if sink != nil {
-		db.wal = storage.NewWAL(sink, recovery.LastSeq, recovery.IntactBytes)
-		db.wal.SetObs(&db.waits, db.flight)
-		// Redo-only logging is correct only if uncommitted changes never
-		// reach the page file: no-steal buffer pool.
-		pager.SetNoSteal(true)
-	}
+	db.wal = storage.NewWAL(sink, recovery.LastSeq, recovery.IntactBytes)
+	db.wal.SetObs(&db.waits, db.flight)
+	// Redo-only logging is correct only if uncommitted changes never
+	// reach the page file: no-steal buffer pool.
+	pager.SetNoSteal(true)
 	if backend.NumPages() == 0 {
 		if err := db.initSuperblock(); err != nil {
 			return nil, err
@@ -463,67 +451,62 @@ func Open(opts Options) (*DB, error) {
 	} else if err := db.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if db.wal != nil {
-		db.txns.SetCommitSink(db.logCommit)
-		// Undo replay restores page content, so it must run inside the
-		// mutation window — re-entrant when the statement that failed is
-		// already holding it.
-		db.txns.SetUndoScope(func(txID int64) func() {
-			return db.enterMutation(txID, true)
-		})
-		// Whatever frames a finished transaction still owns become
-		// orphans: a committed txn's frames were disowned by its sweep
-		// (anything left was re-dirtied logging, i.e. committed content),
-		// and a rolled-back txn's frames hold restored pre-images.
-		// Transaction-scoped admissions orphan their frames earlier, in
-		// the per-txn admission release (which must run before admission
-		// frees — see admitTxn); this manager-level handler is the path
-		// that covers statement-scoped (autocommit) writers, which hold
-		// admission until after their transaction finishes.
-		releaseOwner := func(txID int64) { db.pager.ReleaseOwner(txID) }
-		db.txns.OnCommit(releaseOwner)
-		db.txns.OnRollback(releaseOwner)
-		if recovery.Records > 0 || recovery.TornTail {
-			// Fold the replayed state into the page file and truncate the
-			// log so it does not grow across restarts.
-			if err := db.Checkpoint(); err != nil {
-				return nil, fmt.Errorf("engine: post-recovery checkpoint: %w", err)
-			}
+	db.txns.SetCommitSink(db.logCommit)
+	// Undo replay restores page content, so it must run inside the
+	// mutation window — re-entrant when the statement that failed is
+	// already holding it.
+	db.txns.SetUndoScope(func(txID int64) func() {
+		return db.enterMutation(txID, true)
+	})
+	// Whatever frames a finished transaction still owns become
+	// orphans: a committed txn's frames were disowned by its sweep
+	// (anything left was re-dirtied logging, i.e. committed content),
+	// and a rolled-back txn's frames hold restored pre-images.
+	// Transaction-scoped admissions orphan their frames earlier, in
+	// the per-txn admission release (which must run before admission
+	// frees — see admitTxn); this manager-level handler is the path
+	// that covers statement-scoped (autocommit) writers, which hold
+	// admission until after their transaction finishes.
+	releaseOwner := func(txID int64) { db.pager.ReleaseOwner(txID) }
+	db.txns.OnCommit(releaseOwner)
+	db.txns.OnRollback(releaseOwner)
+	if recovery.Records > 0 || recovery.TornTail {
+		// Fold the replayed state into the page file and truncate the
+		// log so it does not grow across restarts.
+		if err := db.Checkpoint(); err != nil {
+			return nil, fmt.Errorf("engine: post-recovery checkpoint: %w", err)
 		}
-		// The background checkpointer starts last: everything it touches
-		// is wired, and recovery's foreground checkpoint has already run.
-		db.startCheckpointer(opts, cache)
 	}
+	// The background checkpointer starts last: everything it touches
+	// is wired, and recovery's foreground checkpoint has already run.
+	db.startCheckpointer(opts, cache)
 	return db, nil
 }
 
 // Close checkpoints (snapshot + flush + WAL truncation) and closes the
 // database. Close attempts every cleanup step even when an earlier one
 // fails, folding the errors together. When the checkpoint is refused or
-// fails under a WAL (open write transaction, broken or partially
-// flushed log), the buffer pool is discarded instead of flushed —
-// flushing could push uncommitted or unlogged pages to the page file —
-// and the next Open recovers committed state from the log.
+// fails (open write transaction, broken or partially flushed log), the
+// buffer pool is discarded instead of flushed — flushing could push
+// uncommitted or unlogged pages to the page file — and the next Open
+// recovers committed state from the log.
 func (db *DB) Close() error {
 	// Drain the background checkpointer first: a checkpoint of its own in
 	// flight holds admission, which would make the foreground checkpoint
 	// below report ErrTxnOpen and wrongly discard the buffer pool.
 	db.stopCheckpointer()
 	err := db.Checkpoint()
-	if err != nil && db.wal != nil {
+	if err != nil {
 		err = errors.Join(err, db.pager.CloseDiscard())
 	} else {
-		err = errors.Join(err, db.pager.Close())
+		err = db.pager.Close()
 	}
-	if db.wal != nil {
-		// One more attempt to cut a suspect tail left by a failed commit
-		// whose truncation also failed; idempotent when already clean.
-		db.walMu.Lock()
-		err = errors.Join(err, db.wal.TruncateToSynced())
-		db.walMu.Unlock()
-		err = errors.Join(err, db.wal.Close())
-	}
-	return err
+	// One more attempt to cut a suspect tail left by a failed commit
+	// whose truncation also failed; idempotent when already clean.
+	db.walMu.Lock()
+	err = errors.Join(err, db.wal.TruncateToSynced())
+	db.walMu.Unlock()
+	return errors.Join(err, db.wal.Close())
 }
 
 // logCommit is the transaction manager's commit sink: it appends the
@@ -611,21 +594,17 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
 // PagerStats returns buffer-pool I/O counters (benchmarks read these to
 // reproduce the paper's logical-I/O claims), with the WAL counters
-// folded in when a log governs the database.
+// folded in.
 func (db *DB) PagerStats() storage.Stats {
 	s := db.pager.Stats()
-	if db.wal != nil {
-		db.wal.AddStats(&s)
-	}
+	db.wal.AddStats(&s)
 	return s
 }
 
 // ResetPagerStats zeroes the I/O and WAL counters.
 func (db *DB) ResetPagerStats() {
 	db.pager.ResetStats()
-	if db.wal != nil {
-		db.wal.ResetStats()
-	}
+	db.wal.ResetStats()
 }
 
 // LeakCheck reports buffer-pool state that must not exist at rest (no
@@ -717,9 +696,6 @@ func (db *DB) Workspace() *extidx.Workspace { return db.ws }
 // disown on logging, admission release orphans the rest before letting
 // go), so the owner-0 sweep below covers everything dirty.
 func (db *DB) Checkpoint() error {
-	if db.wal == nil {
-		return db.SaveSnapshot()
-	}
 	if !db.admission.TryLock() {
 		db.noteCheckpointBlocked()
 		return ErrTxnOpen

@@ -36,7 +36,7 @@ type EngineStats struct {
 	// BgCheckpoints counts checkpoints completed by the background
 	// checkpointer; BgCheckpointSkips counts its attempts that were
 	// refused (a writer was admitted) or failed.
-	BgCheckpoints    int64
+	BgCheckpoints     int64
 	BgCheckpointSkips int64
 }
 
@@ -56,14 +56,14 @@ type Metrics struct {
 	// shard that the aggregate hit rate would hide.
 	PagerShards []storage.ShardStats
 	Txn         txn.Stats
-	Planner   obs.PlannerSnapshot
-	ODCI      obs.ODCISnapshot
-	Engine    EngineStats
-	Exec      obs.ExecSnapshot
-	Workspace WorkspaceStats
+	Planner     obs.PlannerSnapshot
+	ODCI        obs.ODCISnapshot
+	Engine      EngineStats
+	Exec        obs.ExecSnapshot
+	Workspace   WorkspaceStats
 	// CommitGroups is the distribution of commits acknowledged per shared
 	// fsync (group-commit batch sizes). Mean() > 1 means fsyncs are being
-	// shared; zero-valued when no WAL governs the database.
+	// shared.
 	CommitGroups obs.HistogramSnapshot
 	// Waits is the wait-event table: per-class blocked-time counts,
 	// totals and maxima, plus the all-class duration histogram.
@@ -92,16 +92,16 @@ func (db *DB) Metrics() Metrics {
 		Pager:       db.PagerStats(),
 		PagerShards: db.pager.ShardStats(),
 		Txn:         db.txns.Stats(),
-		Planner: db.planner.Snapshot(),
-		ODCI:    db.odci.Snapshot(),
+		Planner:     db.planner.Snapshot(),
+		ODCI:        db.odci.Snapshot(),
 		Engine: EngineStats{
 			Selects:       db.selects.Load(),
 			TracedQueries: db.tracedQueries.Load(),
 			SlowQueries:   db.slowQueries.Load(),
 			// The legacy admission/window gauges are views over the wait
 			// table: the class counts are the acquisition counts.
-			AdmitWaits:     admShared.Count + admExcl.Count,
-			AdmitWaitNanos: admShared.TotalNanos + admExcl.TotalNanos,
+			AdmitWaits:        admShared.Count + admExcl.Count,
+			AdmitWaitNanos:    admShared.TotalNanos + admExcl.TotalNanos,
 			MutWaits:          window.Count,
 			MutWaitNanos:      window.TotalNanos,
 			FetchCalls:        db.FetchCalls(),
@@ -110,7 +110,7 @@ func (db *DB) Metrics() Metrics {
 		},
 		Exec:         db.execStats.Snapshot(),
 		Workspace:    WorkspaceStats{Live: live, HighWater: high},
-		CommitGroups: db.commitGroups(),
+		CommitGroups: db.wal.GroupSizes(),
 		Waits:        waits,
 		Conflicts:    db.conflicts.Snapshot(),
 		FlightEvents: int64(db.flight.Len()),
@@ -137,15 +137,6 @@ func maxShardHitRate(shards []storage.ShardStats) float64 {
 		}
 	}
 	return hi
-}
-
-// commitGroups snapshots the WAL's group-size histogram (zero when no WAL
-// governs the database).
-func (db *DB) commitGroups() obs.HistogramSnapshot {
-	if db.wal == nil {
-		return obs.HistogramSnapshot{}
-	}
-	return db.wal.GroupSizes()
 }
 
 // ResetMetrics zeroes every observability counter (benchmark phases).

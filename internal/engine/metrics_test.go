@@ -187,10 +187,10 @@ func TestExplainAnalyze(t *testing.T) {
 	for _, want := range []string{
 		"SELECT STATEMENT",
 		"DOMAIN INDEX DOCKWIDX",
-		"est=",        // estimated rows present on the scan node
-		"rows=2",      // actual rows measured
-		"batch=",      // chosen Fetch batch size on the scan operator
-		"batches=",    // non-empty chunks the scan produced
+		"est=",     // estimated rows present on the scan node
+		"rows=2",   // actual rows measured
+		"batch=",   // chosen Fetch batch size on the scan operator
+		"batches=", // non-empty chunks the scan produced
 		"CANDIDATE ACCESS PATHS:",
 		"rows returned: 2",
 		"pager: fetches=",
@@ -324,31 +324,42 @@ func TestUntracedQueryAllocatesNoTrace(t *testing.T) {
 	}
 }
 
+// TestWALAndAdmissionCountersFileBacked pins the one-mode contract: a
+// file database and an in-memory one run the same logged commit path, so
+// both report WAL traffic, writer admission and the mutation window.
 func TestWALAndAdmissionCountersFileBacked(t *testing.T) {
-	// The WAL and writer admission only exist for file-backed databases;
-	// the in-memory tests above cannot see these counters.
-	db, err := Open(Options{Path: t.TempDir() + "/m.db"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	s := db.NewSession()
-	mustExec(t, s, `CREATE TABLE t(id NUMBER)`)
-	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	m := db.Metrics()
-	if m.Pager.WALRecords == 0 || m.Pager.WALCommits == 0 || m.Pager.WALBytes == 0 {
-		t.Errorf("wal counters dead: %+v", m.Pager)
-	}
-	if m.Engine.AdmitWaits == 0 {
-		t.Errorf("writer admissions not counted: %+v", m.Engine)
-	}
-	if m.Engine.MutWaits == 0 {
-		t.Errorf("mutation-window entries not counted: %+v", m.Engine)
-	}
-	if m.Pager.WALSyncs == 0 || m.Pager.WALGroupedCommits == 0 {
-		t.Errorf("fsync / grouped-commit counters dead: %+v", m.Pager)
-	}
-	if m.CommitGroups.Count == 0 || m.CommitGroups.Mean() < 1 {
-		t.Errorf("commit-group histogram dead: %+v", m.CommitGroups)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"file", Options{Path: t.TempDir() + "/m.db"}},
+		{"memory", Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := Open(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			s := db.NewSession()
+			mustExec(t, s, `CREATE TABLE t(id NUMBER)`)
+			mustExec(t, s, `INSERT INTO t VALUES (1)`)
+			m := db.Metrics()
+			if m.Pager.WALRecords == 0 || m.Pager.WALCommits == 0 || m.Pager.WALBytes == 0 {
+				t.Errorf("wal counters dead: %+v", m.Pager)
+			}
+			if m.Engine.AdmitWaits == 0 {
+				t.Errorf("writer admissions not counted: %+v", m.Engine)
+			}
+			if m.Engine.MutWaits == 0 {
+				t.Errorf("mutation-window entries not counted: %+v", m.Engine)
+			}
+			if m.Pager.WALSyncs == 0 || m.Pager.WALGroupedCommits == 0 {
+				t.Errorf("fsync / grouped-commit counters dead: %+v", m.Pager)
+			}
+			if m.CommitGroups.Count == 0 || m.CommitGroups.Mean() < 1 {
+				t.Errorf("commit-group histogram dead: %+v", m.CommitGroups)
+			}
+		})
 	}
 }

@@ -147,19 +147,9 @@ func (db *DB) applySnapshotBytes(data []byte) error {
 	return db.applySnapshot(snap)
 }
 
-// SaveSnapshot serializes the dictionary into the snapshot chain and
-// flushes all dirty pages.
-func (db *DB) SaveSnapshot() error {
-	if err := db.writeSnapshotChain(); err != nil {
-		return err
-	}
-	return db.pager.FlushAll()
-}
-
 // writeSnapshotChain serializes the dictionary into the page-0 snapshot
-// chain, leaving the chain pages dirty in the buffer pool (the caller
-// decides when they hit the backend: directly via FlushAll, or logged
-// first by the WAL checkpoint protocol).
+// chain, leaving the chain pages dirty in the buffer pool for Checkpoint
+// to log and flush.
 func (db *DB) writeSnapshotChain() error {
 	data, err := db.snapshotBytes()
 	if err != nil {

@@ -139,7 +139,6 @@ func (s *Session) begin() (*txn.Txn, func(err error) error) {
 // before the statement takes any table lock: admission waiters hold no
 // locks, so the admission → table-lock order can never cycle.
 //
-//   - No WAL: the commit path does no frame sweep, no admission.
 //   - Callback session: the invoking write statement's transaction is
 //     already admitted.
 //   - Explicit transaction: admission is acquired for the transaction
@@ -155,7 +154,7 @@ func (s *Session) begin() (*txn.Txn, func(err error) error) {
 // needsExclusiveAdmission).
 func (s *Session) admitWrite(tables ...string) func() {
 	db := s.db
-	if db.wal == nil || s.isCallback {
+	if s.isCallback {
 		return func() {}
 	}
 	exclusive := db.needsExclusiveAdmission(tables)
@@ -189,9 +188,6 @@ func (s *Session) admitWrite(tables ...string) func() {
 // runs see the retry burden per table.
 func (s *Session) runWrite(t *txn.Txn, finish func(err error) error, table string, body func() error) error {
 	db := s.db
-	if db.wal == nil {
-		return finish(body())
-	}
 	exit := db.enterMutation(t.ID, false)
 	err := body()
 	if cerr := db.pager.TakeConflict(); cerr != nil {

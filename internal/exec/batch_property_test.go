@@ -398,10 +398,10 @@ type scriptedMethods struct {
 	closes  int
 }
 
-func (m *scriptedMethods) Create(extidx.Server, extidx.IndexInfo) error          { return nil }
-func (m *scriptedMethods) Alter(extidx.Server, extidx.IndexInfo, string) error   { return nil }
-func (m *scriptedMethods) Truncate(extidx.Server, extidx.IndexInfo) error        { return nil }
-func (m *scriptedMethods) Drop(extidx.Server, extidx.IndexInfo) error            { return nil }
+func (m *scriptedMethods) Create(extidx.Server, extidx.IndexInfo) error        { return nil }
+func (m *scriptedMethods) Alter(extidx.Server, extidx.IndexInfo, string) error { return nil }
+func (m *scriptedMethods) Truncate(extidx.Server, extidx.IndexInfo) error      { return nil }
+func (m *scriptedMethods) Drop(extidx.Server, extidx.IndexInfo) error          { return nil }
 func (m *scriptedMethods) Insert(extidx.Server, extidx.IndexInfo, int64, types.Value) error {
 	return nil
 }

@@ -315,27 +315,44 @@ func TestExchangeSourceError(t *testing.T) {
 	ex.Close()
 }
 
+// gatedErr fails its first NextBatch, but only once gate is closed.
+type gatedErr struct {
+	gate <-chan struct{}
+	err  error
+}
+
+func (g *gatedErr) NextBatch(c *Chunk) error {
+	c.Reset()
+	<-g.gate
+	return g.err
+}
+
+func (g *gatedErr) Close() error { return nil }
+
 // TestExchangeUnconsumedError: a worker error the consumer never
-// observed (Close before draining) must surface from Close.
+// observed (Close before draining) must surface from Close. The failing
+// morsel is handed out first and held until the consumer has its first
+// chunk, so the error always arrives after the consumer stopped reading.
 func TestExchangeUnconsumedError(t *testing.T) {
 	wantErr := errors.New("late failure")
 	big := make([]Row, 4*DefaultChunkSize)
 	for i := range big {
 		big[i] = Row{types.Int(int64(i))}
 	}
+	gate := make(chan struct{})
 	src := NewMorselQueue(2, func(i int) (Iterator, error) {
 		if i == 0 {
-			return &Slice{Rows: big}, nil
+			return &gatedErr{gate: gate, err: wantErr}, nil
 		}
-		return &errAfter{err: wantErr}, nil
+		return &Slice{Rows: big}, nil
 	})
 	ex := &Exchange{Source: src, Workers: 2}
 	c := NewChunk(DefaultChunkSize)
-	if err := ex.NextBatch(c); err != nil && !errors.Is(err, wantErr) {
-		t.Fatalf("first NextBatch: %v", err)
+	if err := ex.NextBatch(c); err != nil || c.Len() == 0 {
+		t.Fatalf("first NextBatch: %d rows, err %v", c.Len(), err)
 	}
-	err := ex.Close()
-	if ex.sticky == nil && !errors.Is(err, wantErr) {
+	close(gate)
+	if err := ex.Close(); !errors.Is(err, wantErr) {
 		t.Fatalf("Close error = %v, want %v (error was never surfaced)", err, wantErr)
 	}
 }

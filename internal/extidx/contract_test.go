@@ -198,16 +198,18 @@ func spatialContract(name, indexType string) cartridgeContract {
 	}
 	window := geom(0, 0, 10, 10)
 	return cartridgeContract{
-		name:      name,
-		install:   func(db *engine.DB, s *engine.Session) error { return installThen(spatial.Register(db), s, spatial.Setup) },
+		name: name,
+		install: func(db *engine.DB, s *engine.Session) error {
+			return installThen(spatial.Register(db), s, spatial.Setup)
+		},
 		tableDDL:  fmt.Sprintf(`CREATE TABLE Sites(gid NUMBER, geometry %s)`, spatial.TypeName),
 		tableName: "Sites",
 		indexDDL:  fmt.Sprintf(`CREATE INDEX SitesCT ON Sites(geometry) INDEXTYPE IS %s`, indexType),
 		indexName: "SitesCT",
 		insertSQL: `INSERT INTO Sites VALUES (?, ?)`,
 		initial: [][]types.Value{
-			{types.Int(1), geom(1, 1, 3, 3)},      // inside the window
-			{types.Int(2), geom(8, 8, 15, 15)},    // overlaps the edge
+			{types.Int(1), geom(1, 1, 3, 3)},         // inside the window
+			{types.Int(2), geom(8, 8, 15, 15)},       // overlaps the edge
 			{types.Int(3), geom(100, 100, 110, 110)}, // far away
 			{types.Int(4), spatial.NewPoint(5, 5).ToValue()},
 			{types.Int(5), types.Null()},

@@ -64,11 +64,11 @@ func (k EventKind) String() string {
 
 // FlightEvent is one inert, decoded ring entry.
 type FlightEvent struct {
-	Seq      uint64    // global sequence number (monotone across the ring)
-	Time     time.Time // wall time of the Record call
-	Kind     EventKind
-	A, B     int64  // kind-specific payload (see the EventKind docs)
-	Tag      string // kind-specific label ("" for most events)
+	Seq  uint64    // global sequence number (monotone across the ring)
+	Time time.Time // wall time of the Record call
+	Kind EventKind
+	A, B int64  // kind-specific payload (see the EventKind docs)
+	Tag  string // kind-specific label ("" for most events)
 }
 
 // String renders the event as one dump line.

@@ -194,8 +194,8 @@ func (p *PlannerStats) RecordPlan(candidates int, chosenKind string) {
 // Snapshot returns an inert copy.
 func (p *PlannerStats) Snapshot() PlannerSnapshot {
 	s := PlannerSnapshot{
-		Plans:      p.plans.Load(),
-		Candidates: p.candidates.Load(),
+		Plans:        p.plans.Load(),
+		Candidates:   p.candidates.Load(),
 		ChosenByKind: map[string]int64{},
 	}
 	p.mu.Lock()

@@ -114,7 +114,7 @@ type WaitStats struct {
 	classes   [NumWaitClasses]waitCounters
 	durations Histogram
 
-	slowNanos atomic.Int64                  // threshold for EvSlowWait flight events; 0 = off
+	slowNanos atomic.Int64                   // threshold for EvSlowWait flight events; 0 = off
 	flight    atomic.Pointer[FlightRecorder] // receives EvSlowWait events when set
 }
 

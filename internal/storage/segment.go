@@ -123,10 +123,16 @@ func OpenFileSegmentedSink(dir string, segBytes int64) (*SegmentedSink, error) {
 	return newSegmentedSink(&fileSegMedium{dir: dir}, segBytes)
 }
 
-// NewMemSegmentedSink returns an in-memory segmented WAL (crash harnesses
-// put a fault.Sink on top and treat this as the durable medium).
+// NewMemSegmentedSink returns an in-memory segmented WAL: the log of every
+// database opened without a path or sink (crash harnesses put a
+// fault.Sink on top and treat it as the durable medium). segBytes <= 0
+// means DefaultWALSegmentBytes.
 func NewMemSegmentedSink(segBytes int64) *SegmentedSink {
-	s, err := newSegmentedSink(&memSegMedium{slots: map[int]*memSegSlot{}}, segBytes)
+	if segBytes <= 0 {
+		segBytes = DefaultWALSegmentBytes
+	}
+	m := &memSegMedium{slots: map[int]*memSegSlot{}, limit: segHeaderSize + segBytes}
+	s, err := newSegmentedSink(m, segBytes)
 	if err != nil {
 		panic(err) // the memory medium cannot fail to open
 	}
@@ -545,6 +551,7 @@ func (f *fileSegSlot) Size() (int64, error) {
 type memSegMedium struct {
 	mu    sync.Mutex
 	slots map[int]*memSegSlot
+	limit int64 // slot size cap: header + one segment's payload (0: none)
 }
 
 func (m *memSegMedium) List() ([]int, error) {
@@ -563,7 +570,7 @@ func (m *memSegMedium) Open(n int) (segSlot, error) {
 	if s, ok := m.slots[n]; ok {
 		return s, nil
 	}
-	s := &memSegSlot{}
+	s := &memSegSlot{limit: m.limit}
 	m.slots[n] = s
 	return s, nil
 }
@@ -572,8 +579,9 @@ func (m *memSegMedium) SyncDir() error { return nil }
 func (m *memSegMedium) Close() error   { return nil }
 
 type memSegSlot struct {
-	mu  sync.Mutex
-	buf []byte
+	mu    sync.Mutex
+	buf   []byte
+	limit int64 // capacity growth cap (0: none)
 }
 
 func (s *memSegSlot) ReadAt(p []byte, off int64) (int, error) {
@@ -590,9 +598,7 @@ func (s *memSegSlot) WriteAt(p []byte, off int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if need := off + int64(len(p)); need > int64(len(s.buf)) {
-		grown := make([]byte, need)
-		copy(grown, s.buf)
-		s.buf = grown
+		s.resizeLocked(need)
 	}
 	copy(s.buf[off:], p)
 	return len(p), nil
@@ -601,14 +607,33 @@ func (s *memSegSlot) WriteAt(p []byte, off int64) (int, error) {
 func (s *memSegSlot) Truncate(size int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if size > int64(len(s.buf)) {
-		grown := make([]byte, size)
-		copy(grown, s.buf)
-		s.buf = grown
-		return nil
-	}
-	s.buf = s.buf[:size]
+	s.resizeLocked(size)
 	return nil
+}
+
+// resizeLocked sets the slot length to n, zero-filling any extension like
+// a file would. Capacity grows by doubling, capped at the slot size limit,
+// so a segment filled by small appends is copied O(log n) times rather
+// than once per append.
+func (s *memSegSlot) resizeLocked(n int64) {
+	if n <= int64(cap(s.buf)) {
+		old := len(s.buf)
+		s.buf = s.buf[:n]
+		if int(n) > old {
+			clear(s.buf[old:])
+		}
+		return
+	}
+	c := 2 * int64(cap(s.buf))
+	if s.limit > 0 && c > s.limit {
+		c = s.limit
+	}
+	if c < n {
+		c = n
+	}
+	grown := make([]byte, n, c)
+	copy(grown, s.buf)
+	s.buf = grown
 }
 
 func (s *memSegSlot) Sync() error { return nil }

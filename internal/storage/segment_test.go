@@ -320,6 +320,29 @@ func TestSegmentedWALIntegration(t *testing.T) {
 	sink.Close()
 }
 
+// TestMemSegmentAppendAmortized pins the memory medium's growth: small
+// appends into one segment must not reallocate (and copy) the segment
+// buffer each time, or a memory log goes quadratic in segment size.
+func TestMemSegmentAppendAmortized(t *testing.T) {
+	s := NewMemSegmentedSink(1 << 20)
+	defer s.Close()
+	p := fill(0, 64)
+	if err := s.Append(p); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := s.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 0.1 {
+		t.Fatalf("%.2f allocations per 64-byte append, want < 0.1", allocs)
+	}
+	if live, _ := s.Segments(); live != 1 {
+		t.Fatalf("appends spread over %d segments, want 1", live)
+	}
+}
+
 func TestSegmentedTruncateOutOfRange(t *testing.T) {
 	s := NewMemSegmentedSink(16)
 	defer s.Close()

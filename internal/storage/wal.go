@@ -3,10 +3,8 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"sync"
 	"time"
 
@@ -67,8 +65,8 @@ type WALSink interface {
 	Close() error
 }
 
-// MemWALSink is an in-memory log, used for in-memory databases under
-// test harnesses (fault wrappers give it power-loss semantics).
+// MemWALSink is a flat in-memory log for test harnesses (fault wrappers
+// give it power-loss semantics).
 type MemWALSink struct {
 	buf []byte
 }
@@ -107,66 +105,6 @@ func (m *MemWALSink) Reset() error {
 
 // Close implements WALSink.
 func (m *MemWALSink) Close() error { return nil }
-
-// FileWALSink is a log stored in a single appended-to file.
-type FileWALSink struct {
-	f   *os.File
-	off int64
-}
-
-// OpenFileWALSink opens (creating if needed) a file-backed WAL.
-func OpenFileWALSink(path string) (*FileWALSink, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open wal %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, errors.Join(err, f.Close())
-	}
-	return &FileWALSink{f: f, off: st.Size()}, nil
-}
-
-// Append implements WALSink.
-func (s *FileWALSink) Append(p []byte) error {
-	if _, err := s.f.WriteAt(p, s.off); err != nil {
-		// A short write leaves garbage past off, but off itself stays on
-		// the record boundary: Contents() never reads the partial bytes
-		// and the next append (if any) overwrites them.
-		return err
-	}
-	s.off += int64(len(p))
-	return nil
-}
-
-// Sync implements WALSink.
-func (s *FileWALSink) Sync() error { return s.f.Sync() }
-
-// Contents implements WALSink.
-func (s *FileWALSink) Contents() ([]byte, error) {
-	buf := make([]byte, s.off)
-	if _, err := s.f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Truncate implements WALSink.
-func (s *FileWALSink) Truncate(n int64) error {
-	if err := s.f.Truncate(n); err != nil {
-		return err
-	}
-	s.off = n
-	return s.f.Sync()
-}
-
-// Reset implements WALSink.
-func (s *FileWALSink) Reset() error {
-	return s.Truncate(0)
-}
-
-// Close implements WALSink.
-func (s *FileWALSink) Close() error { return s.f.Close() }
 
 // Record kinds.
 const (

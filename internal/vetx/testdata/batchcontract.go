@@ -2,41 +2,14 @@
 // tests under the import path repro/internal/exec.
 package exec
 
-type Row []int
-
-type Chunk struct{ Rows []Row }
-
 type heapT struct{}
 
-func (heapT) Get(rid int64) ([]byte, error)      { return nil, nil }
+func (heapT) Get(rid int64) ([]byte, error)                               { return nil, nil }
 func (heapT) GetBatchFunc(rids []int64, fn func(int, []byte) error) error { return nil }
 
 type cacheT struct{}
 
 func (cacheT) Get(k int64) ([]byte, error) { return nil, nil }
-
-// legacyScan still speaks row-at-a-time Volcano: Next/Close with no
-// NextBatch. This no longer satisfies exec.Iterator.
-type legacyScan struct{ pos int }
-
-func (l *legacyScan) Next() (Row, error) { // want:batchcontract
-	l.pos++
-	return nil, nil
-}
-
-func (l *legacyScan) Close() error { return nil }
-
-// batchScan is the sanctioned shape: NextBatch + Close.
-type batchScan struct{}
-
-func (b *batchScan) NextBatch(c *Chunk) error { return nil }
-func (b *batchScan) Close() error             { return nil }
-
-// notAnIterator has a two-result Next but no Close; it is not an
-// operator, so rule 1 leaves it alone.
-type notAnIterator struct{}
-
-func (notAnIterator) Next() (Row, error) { return nil, nil }
 
 type fetchOp struct{ Heap heapT }
 

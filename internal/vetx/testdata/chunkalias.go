@@ -19,13 +19,13 @@ type Op struct {
 }
 
 func (o *Op) NextBatch(c *Chunk) {
-	o.ch = c // want:chunkalias
+	o.ch = c         // want:chunkalias
 	o.saved = c.Rows // want:chunkalias
 	rows := c.Rows
-	o.saved = rows[:1] // want:chunkalias
-	o.rids[0] = c.RIDs // want:chunkalias
+	o.saved = rows[:1]                     // want:chunkalias
+	o.rids[0] = c.RIDs                     // want:chunkalias
 	o.cb = func() int { return len(rows) } // want:chunkalias
-	go consume(c.Rows) // want:chunkalias
+	go consume(c.Rows)                     // want:chunkalias
 
 	// All legal: append copies, single rows are never recycled, and
 	// writes into the chunk are the producer filling it.
@@ -41,7 +41,7 @@ func (o *Op) NextBatch(c *Chunk) {
 // (or a local alias, or its slices) must never cross a channel; a chunk
 // freshly allocated by the sender may.
 func (o *Op) SendBatch(c *Chunk, out chan *Chunk, rowsCh chan []Row) {
-	out <- c // want:chunkalias
+	out <- c         // want:chunkalias
 	rowsCh <- c.Rows // want:chunkalias
 	alias := c
 	out <- alias // want:chunkalias

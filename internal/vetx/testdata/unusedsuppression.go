@@ -18,6 +18,7 @@ func (t *T) leaky() {
 }
 
 // unused: balanced code, nothing to suppress.
+//
 //vetx:ignore lockbalance -- fixture: UNUSED directive with no matching finding
 func (t *T) balanced() {
 	t.mu.Lock()
@@ -25,5 +26,6 @@ func (t *T) balanced() {
 }
 
 // not judged: erraudit is not part of this run.
+//
 //vetx:ignore erraudit -- fixture: names an analyzer outside the run set
 func (t *T) other() {}

@@ -66,7 +66,6 @@ func DefaultAnalyzers() []*Analyzer {
 		LockOrder(),
 		CallbackUnderLock(),
 		ChunkAlias(),
-		AtomicMix(),
 	}
 }
 

@@ -254,12 +254,6 @@ func TestChunkAlias(t *testing.T) {
 	checkFindings(t, pkg, ChunkAlias())
 }
 
-func TestAtomicMix(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/atomfix", "atomicmix.go")
-	typecheckFixture(t, pkg, importer.ForCompiler(pkg.Fset, "source", nil))
-	checkFindings(t, pkg, AtomicMix())
-}
-
 // TestUnusedSuppression: a directive that suppresses nothing is itself a
 // finding — but only when every analyzer it names took part in the run.
 func TestUnusedSuppression(t *testing.T) {
