@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS = repro/internal/txn repro/internal/storage repro/internal/engine repro/internal/extidx repro/internal/exec repro/internal/obs
 
-.PHONY: build vet lint test race crash fuzz obs-smoke check bench
+.PHONY: build vet lint test race crash fuzz check bench
 
 build:
 	$(GO) build ./...
@@ -40,16 +40,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 20s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/storage
 
-## obs-smoke: run a reduced experiment sweep and fail if any required
-## engine counter (pager, txn, planner, ODCI fetch) or the ODCICallback
-## wait class stayed at zero — catches silently disconnected
-## instrumentation. Parallel-exec, group-commit and sharded-storage
-## liveness is asserted inside `go test` (see DESIGN.md §13).
-obs-smoke:
-	$(GO) run ./cmd/benchrunner -quick -only E2,E6,E8 -json -smoke > /dev/null
-
 ## check: everything CI runs except the fuzz smoke
-check: build vet lint test race crash obs-smoke
+check: build vet lint test race crash
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -113,15 +113,11 @@ func meta(db *extdb.DB, s *extdb.Session, cmd string) bool {
 	case strings.HasPrefix(cmd, `\plan `):
 		run(s, "EXPLAIN PLAN FOR "+strings.TrimSuffix(strings.TrimPrefix(cmd, `\plan `), ";"))
 	case cmd == `\batch`:
-		if db.DefaultFetchBatch > 0 {
-			fmt.Printf("fetch batch size: %d\n", db.DefaultFetchBatch)
-		} else {
-			fmt.Println("fetch batch size: auto (planner picks per scan; see EXPLAIN)")
-		}
+		fmt.Printf("fetch batch size: %d\n", db.DefaultFetchBatch)
 	case strings.HasPrefix(cmd, `\batch `):
 		var n int
-		if _, err := fmt.Sscanf(strings.TrimPrefix(cmd, `\batch `), "%d", &n); err != nil || n < 0 {
-			fmt.Println(`usage: \batch [n]   (n > 0 fixes the ODCI Fetch batch size, 0 = planner picks)`)
+		if _, err := fmt.Sscanf(strings.TrimPrefix(cmd, `\batch `), "%d", &n); err != nil || n < 1 {
+			fmt.Println(`usage: \batch [n]   (n >= 1 sets the ODCI Fetch batch size)`)
 			break
 		}
 		db.DefaultFetchBatch = n

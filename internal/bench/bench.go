@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -149,33 +148,9 @@ func newDB() (*engine.DB, *engine.Session) {
 	return db, db.NewSession()
 }
 
-// Every database the harness closes folds its final metrics snapshot
-// into this aggregate, so cmd/benchrunner can report engine counters
-// (pager hit rate, ODCI callback breakdowns) alongside wall times
-// without threading a collector through every experiment.
-var (
-	metricsMu  sync.Mutex
-	aggMetrics engine.Metrics
-)
-
-// TakeMetrics drains the metrics accumulated by every database closed
-// since the last call.
-func TakeMetrics() engine.Metrics {
-	metricsMu.Lock()
-	defer metricsMu.Unlock()
-	m := aggMetrics
-	aggMetrics = engine.Metrics{}
-	return m
-}
-
-// mustClose tears down a per-iteration database, folding its metrics
-// into the package aggregate first; a close failure means the
-// experiment corrupted state, so the whole sweep aborts.
+// mustClose tears down a per-iteration database; a close failure means
+// the experiment corrupted state, so the whole sweep aborts.
 func mustClose(db *engine.DB) {
-	m := db.Metrics()
-	metricsMu.Lock()
-	aggMetrics.Merge(m)
-	metricsMu.Unlock()
 	if err := db.Close(); err != nil {
 		panic(fmt.Sprintf("bench: close database: %v", err))
 	}

@@ -68,9 +68,8 @@ type DB struct {
 	parseCache map[string]sql.Statement
 
 	// DefaultFetchBatch is the maxRows passed to ODCIIndexFetch (and the
-	// chunk size of domain scans). 0 lets the planner pick a batch size
-	// from the cardinality estimate (the paper's batch interface; E8
-	// sweeps this).
+	// chunk size of domain scans): the paper's batch interface. Open sets
+	// 64; E8 sweeps it.
 	DefaultFetchBatch int
 
 	// wal is the redo log every commit goes through. walMu serializes
@@ -354,14 +353,6 @@ func (db *DB) enterMutation(txID int64, undo bool) (exit func()) {
 // the log was empty).
 func (db *DB) RecoveryInfo() storage.RecoveryInfo { return db.recovery }
 
-// FetchCalls reports the cumulative number of ODCIIndexFetch invocations,
-// read from the ODCI boundary observer (every registry-resolved scan is
-// instrumented; per-scan counts live on exec.DomainScan.Fetches).
-func (db *DB) FetchCalls() int64 { return db.odci.Calls(obs.CbFetch) }
-
-// ResetFetchCalls zeroes the ODCIIndexFetch counter.
-func (db *DB) ResetFetchCalls() { db.odci.ResetCallback(obs.CbFetch) }
-
 // Open creates or opens a database. Every database is governed by a WAL
 // (see Options.WALSink for where it lives): Open first replays the log —
 // applying every committed transaction's page images to the backend and
@@ -599,12 +590,6 @@ func (db *DB) PagerStats() storage.Stats {
 	s := db.pager.Stats()
 	db.wal.AddStats(&s)
 	return s
-}
-
-// ResetPagerStats zeroes the I/O and WAL counters.
-func (db *DB) ResetPagerStats() {
-	db.pager.ResetStats()
-	db.wal.ResetStats()
 }
 
 // LeakCheck reports buffer-pool state that must not exist at rest (no

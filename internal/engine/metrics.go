@@ -21,18 +21,6 @@ type EngineStats struct {
 	TracedQueries int64
 	// SlowQueries counts traces handed to the slow-query hook.
 	SlowQueries int64
-	// AdmitWaits / AdmitWaitNanos count writer-admission acquisitions and
-	// the cumulative wall time spent waiting to be admitted (shared for
-	// ordinary DML, exclusive for DDL; see DB.admission).
-	AdmitWaits     int64
-	AdmitWaitNanos int64
-	// MutWaits / MutWaitNanos count mutation-window entries and the
-	// cumulative wall time spent waiting for the window (see DB.mutMu).
-	MutWaits     int64
-	MutWaitNanos int64
-	// FetchCalls counts ODCIIndexFetch interface crossings observed by
-	// domain scans (same counter as DB.FetchCalls).
-	FetchCalls int64
 	// BgCheckpoints counts checkpoints completed by the background
 	// checkpointer; BgCheckpointSkips counts its attempts that were
 	// refused (a writer was admitted) or failed.
@@ -48,7 +36,9 @@ type WorkspaceStats struct {
 }
 
 // Metrics is a full engine observability snapshot: every layer's
-// counters in one inert struct. Collect it with DB.Metrics.
+// counters in one inert struct. Collect it with DB.Metrics. Every
+// counter only goes up for the life of the DB (Workspace.Live is the one
+// gauge), so an interval is the difference of two snapshots.
 type Metrics struct {
 	Pager storage.Stats
 	// PagerShards is the per-shard buffer-pool breakdown (fetch/hit
@@ -61,10 +51,6 @@ type Metrics struct {
 	Engine      EngineStats
 	Exec        obs.ExecSnapshot
 	Workspace   WorkspaceStats
-	// CommitGroups is the distribution of commits acknowledged per shared
-	// fsync (group-commit batch sizes). Mean() > 1 means fsyncs are being
-	// shared.
-	CommitGroups obs.HistogramSnapshot
 	// Waits is the wait-event table: per-class blocked-time counts,
 	// totals and maxima, plus the all-class duration histogram.
 	Waits obs.WaitSnapshot
@@ -79,10 +65,6 @@ type Metrics struct {
 // Metrics snapshots every observability counter in the database.
 func (db *DB) Metrics() Metrics {
 	live, high := db.ws.Stats()
-	waits := db.waits.Snapshot()
-	admShared := waits.Classes[obs.WaitAdmissionShared.String()]
-	admExcl := waits.Classes[obs.WaitAdmissionExclusive.String()]
-	window := waits.Classes[obs.WaitMutationWindow.String()]
 	var bgDone, bgSkip int64
 	if db.ckpt != nil {
 		bgDone = db.ckpt.checkpoints.Load()
@@ -95,23 +77,15 @@ func (db *DB) Metrics() Metrics {
 		Planner:     db.planner.Snapshot(),
 		ODCI:        db.odci.Snapshot(),
 		Engine: EngineStats{
-			Selects:       db.selects.Load(),
-			TracedQueries: db.tracedQueries.Load(),
-			SlowQueries:   db.slowQueries.Load(),
-			// The legacy admission/window gauges are views over the wait
-			// table: the class counts are the acquisition counts.
-			AdmitWaits:        admShared.Count + admExcl.Count,
-			AdmitWaitNanos:    admShared.TotalNanos + admExcl.TotalNanos,
-			MutWaits:          window.Count,
-			MutWaitNanos:      window.TotalNanos,
-			FetchCalls:        db.FetchCalls(),
+			Selects:           db.selects.Load(),
+			TracedQueries:     db.tracedQueries.Load(),
+			SlowQueries:       db.slowQueries.Load(),
 			BgCheckpoints:     bgDone,
 			BgCheckpointSkips: bgSkip,
 		},
 		Exec:         db.execStats.Snapshot(),
 		Workspace:    WorkspaceStats{Live: live, HighWater: high},
-		CommitGroups: db.wal.GroupSizes(),
-		Waits:        waits,
+		Waits:        db.waits.Snapshot(),
 		Conflicts:    db.conflicts.Snapshot(),
 		FlightEvents: int64(db.flight.Len()),
 	}
@@ -139,27 +113,6 @@ func maxShardHitRate(shards []storage.ShardStats) float64 {
 	return hi
 }
 
-// ResetMetrics zeroes every observability counter (benchmark phases).
-// The workspace high-water mark is not reset: it tracks the lifetime
-// maximum, which leak checks rely on.
-func (db *DB) ResetMetrics() {
-	db.ResetPagerStats()
-	db.txns.ResetStats()
-	db.planner.Reset()
-	db.odci.Reset()
-	db.selects.Store(0)
-	db.tracedQueries.Store(0)
-	db.slowQueries.Store(0)
-	db.waits.Reset()
-	db.conflicts.Reset()
-	db.execStats.Reset()
-	db.ResetFetchCalls()
-	if db.ckpt != nil {
-		db.ckpt.checkpoints.Store(0)
-		db.ckpt.skips.Store(0)
-	}
-}
-
 // SetSlowQueryHook installs fn to receive the QueryTrace of every
 // non-callback SELECT whose wall time reaches threshold. While a hook is
 // installed every query is traced (candidates recorded, operators
@@ -171,64 +124,6 @@ func (db *DB) SetSlowQueryHook(threshold time.Duration, fn func(*obs.QueryTrace)
 		return
 	}
 	db.hookCfg.Store(&slowHookCfg{threshold: threshold, fn: fn})
-}
-
-// Merge folds another snapshot into this one (benchrunner aggregates
-// per-experiment snapshots this way). Counters add; the workspace gauges
-// take the maximum.
-func (m *Metrics) Merge(o Metrics) {
-	m.Pager.Fetches += o.Pager.Fetches
-	m.Pager.Hits += o.Pager.Hits
-	m.Pager.Misses += o.Pager.Misses
-	m.Pager.Writes += o.Pager.Writes
-	m.Pager.Evictions += o.Pager.Evictions
-	m.Pager.Allocs += o.Pager.Allocs
-	m.Pager.WALRecords += o.Pager.WALRecords
-	m.Pager.WALPages += o.Pager.WALPages
-	m.Pager.WALFullPages += o.Pager.WALFullPages
-	m.Pager.WALDeltaBytes += o.Pager.WALDeltaBytes
-	m.Pager.WALCommits += o.Pager.WALCommits
-	m.Pager.WALBytes += o.Pager.WALBytes
-	m.Pager.WALSyncs += o.Pager.WALSyncs
-	m.Pager.WALGroupedCommits += o.Pager.WALGroupedCommits
-	m.Pager.LockWaits += o.Pager.LockWaits
-	m.Pager.LockWaitNanos += o.Pager.LockWaitNanos
-	for len(m.PagerShards) < len(o.PagerShards) {
-		m.PagerShards = append(m.PagerShards, storage.ShardStats{})
-	}
-	for i := range o.PagerShards {
-		m.PagerShards[i].Fetches += o.PagerShards[i].Fetches
-		m.PagerShards[i].Hits += o.PagerShards[i].Hits
-		m.PagerShards[i].Misses += o.PagerShards[i].Misses
-		m.PagerShards[i].Writes += o.PagerShards[i].Writes
-		m.PagerShards[i].Evictions += o.PagerShards[i].Evictions
-	}
-	m.Txn.Begins += o.Txn.Begins
-	m.Txn.Commits += o.Txn.Commits
-	m.Txn.Rollbacks += o.Txn.Rollbacks
-	m.Planner.Merge(o.Planner)
-	m.ODCI.Merge(o.ODCI)
-	m.Engine.Selects += o.Engine.Selects
-	m.Engine.TracedQueries += o.Engine.TracedQueries
-	m.Engine.SlowQueries += o.Engine.SlowQueries
-	m.Engine.AdmitWaits += o.Engine.AdmitWaits
-	m.Engine.AdmitWaitNanos += o.Engine.AdmitWaitNanos
-	m.Engine.MutWaits += o.Engine.MutWaits
-	m.Engine.MutWaitNanos += o.Engine.MutWaitNanos
-	m.Engine.FetchCalls += o.Engine.FetchCalls
-	m.Engine.BgCheckpoints += o.Engine.BgCheckpoints
-	m.Engine.BgCheckpointSkips += o.Engine.BgCheckpointSkips
-	m.CommitGroups.Merge(o.CommitGroups)
-	m.Exec.Merge(o.Exec)
-	m.Waits.Merge(o.Waits)
-	m.Conflicts.Merge(o.Conflicts)
-	m.FlightEvents += o.FlightEvents
-	if o.Workspace.Live > m.Workspace.Live {
-		m.Workspace.Live = o.Workspace.Live
-	}
-	if o.Workspace.HighWater > m.Workspace.HighWater {
-		m.Workspace.HighWater = o.Workspace.HighWater
-	}
 }
 
 // String renders the snapshot as the sectioned report the \stats
@@ -256,21 +151,14 @@ func (m Metrics) String() string {
 		fmt.Fprintf(&b, "         groupedCommits=%d commitsPerFsync=%.2f\n",
 			m.Pager.WALGroupedCommits, float64(m.Pager.WALGroupedCommits)/float64(m.Pager.WALSyncs))
 	}
-	if m.CommitGroups.Count > 0 {
-		fmt.Fprintf(&b, "         commitGroups=%d meanGroupSize=%.2f\n",
-			m.CommitGroups.Count, m.CommitGroups.Mean())
-	}
 	fmt.Fprintf(&b, "txn:     begins=%d commits=%d rollbacks=%d\n",
 		m.Txn.Begins, m.Txn.Commits, m.Txn.Rollbacks)
-	fmt.Fprintf(&b, "engine:  selects=%d traced=%d slow=%d fetchCalls=%d\n",
-		m.Engine.Selects, m.Engine.TracedQueries, m.Engine.SlowQueries, m.Engine.FetchCalls)
+	fmt.Fprintf(&b, "engine:  selects=%d traced=%d slow=%d\n",
+		m.Engine.Selects, m.Engine.TracedQueries, m.Engine.SlowQueries)
 	if m.Engine.BgCheckpoints != 0 || m.Engine.BgCheckpointSkips != 0 {
 		fmt.Fprintf(&b, "         bgCheckpoints=%d bgCheckpointSkips=%d\n",
 			m.Engine.BgCheckpoints, m.Engine.BgCheckpointSkips)
 	}
-	fmt.Fprintf(&b, "         admission waits=%d waitTime=%s window waits=%d waitTime=%s\n",
-		m.Engine.AdmitWaits, time.Duration(m.Engine.AdmitWaitNanos).Round(time.Microsecond),
-		m.Engine.MutWaits, time.Duration(m.Engine.MutWaitNanos).Round(time.Microsecond))
 	fmt.Fprintf(&b, "exec:    %s\n", m.Exec.String())
 	fmt.Fprintf(&b, "planner: plans=%d candidates=%d", m.Planner.Plans, m.Planner.Candidates)
 	if len(m.Planner.ChosenByKind) > 0 {

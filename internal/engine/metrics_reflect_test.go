@@ -7,13 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/extidx"
 	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // These tests walk the Metrics struct with reflection so that adding an
-// observability field without teaching Metrics.Merge and Metrics.String
-// about it fails CI instead of silently dropping data in benchrunner
-// aggregates or hiding the counter from \stats.
+// observability field that can go down, or that Metrics.String does not
+// render, fails CI instead of corrupting interval reads or hiding the
+// counter from \stats.
 
 // fillLeaves sets every exported numeric leaf under v to a distinct
 // nonzero value, creating one "K"-keyed entry per map and a single
@@ -48,42 +51,16 @@ func fillLeaves(v reflect.Value, next *int64) {
 	}
 }
 
-// fixHistogramBounds rewrites every int64 field named UpperBound to a
-// real histogram bucket bound: HistogramSnapshot.Merge re-buckets by
-// bound and silently drops entries whose bound matches no bucket, so a
-// filled snapshot must carry valid bounds to survive a merge. Maps are
-// skipped — no histogram lives inside a map value today, and map
-// elements are not settable in place.
-func fixHistogramBounds(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Type().Field(i)
-			if f.PkgPath != "" {
-				continue
-			}
-			if f.Name == "UpperBound" && v.Field(i).Kind() == reflect.Int64 {
-				v.Field(i).SetInt(obs.BucketUpperBound(3))
-				continue
-			}
-			fixHistogramBounds(v.Field(i))
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			fixHistogramBounds(v.Index(i))
-		}
-	}
-}
-
 func filledMetrics() Metrics {
 	var m Metrics
 	var next int64
 	fillLeaves(reflect.ValueOf(&m).Elem(), &next)
-	fixHistogramBounds(reflect.ValueOf(&m).Elem())
 	return m
 }
 
 // collectLeaves returns path -> value for every exported numeric leaf.
+// Histogram buckets are keyed by upper bound, not position, so a bucket
+// that first fills between two snapshots does not shift the others.
 func collectLeaves(path string, v reflect.Value, out map[string]float64) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -102,6 +79,10 @@ func collectLeaves(path string, v reflect.Value, out map[string]float64) {
 		}
 	case reflect.Slice:
 		for i := 0; i < v.Len(); i++ {
+			if b, ok := v.Index(i).Interface().(obs.HistogramBucket); ok {
+				out[fmt.Sprintf("%s[<=%d]", path, b.UpperBound)] = float64(b.Count)
+				continue
+			}
 			collectLeaves(fmt.Sprintf("%s[%d]", path, i), v.Index(i), out)
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -205,30 +186,84 @@ func bumpLeaf(v reflect.Value, target int, idx *int) bool {
 	return false
 }
 
-// TestMetricsMergeCoversEveryField: merging a fully-populated snapshot
-// into a zero one must leave every numeric leaf nonzero. A zero leaf
-// means the field was added to Metrics but not to Merge — benchrunner
-// would silently drop it when aggregating per-experiment snapshots.
-func TestMetricsMergeCoversEveryField(t *testing.T) {
-	b := filledMetrics()
-	want := map[string]float64{}
-	collectLeaves("Metrics", reflect.ValueOf(&b).Elem(), want)
-	if len(want) < 40 {
-		t.Fatalf("walker found only %d leaves — reflection walk broken?", len(want))
+// TestMetricsCountersAreMonotonic: across a workload that touches every
+// layer — DDL, autocommit and explicit-transaction DML on a
+// domain-indexed table, a LOB write through the callback server, a
+// domain query, a degree-2 parallel scan and a checkpoint — no numeric
+// leaf of Metrics (map entries and histogram buckets included) may go
+// down. That is what lets every reader take an interval as the
+// difference of two snapshots. Workspace.Live is the one true gauge.
+func TestMetricsCountersAreMonotonic(t *testing.T) {
+	db, s := kwSetup(t)
+	before := db.Metrics()
+
+	mustExec(t, s, `CREATE TABLE Wide(id NUMBER, pad VARCHAR2)`)
+	mustExec(t, s, `INSERT INTO Docs VALUES (300, 'oracle unix autocommit')`)
+	mustExec(t, s, `BEGIN`)
+	mustExec(t, s, `UPDATE Docs SET body = 'unix only' WHERE id = 300`)
+	mustExec(t, s, `DELETE FROM Docs WHERE id = 1`)
+	for i := 0; i < 600; i++ {
+		mustExec(t, s, `INSERT INTO Wide VALUES (?, 'x')`, types.Int(int64(i)))
+	}
+	mustExec(t, s, `COMMIT`)
+
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	lobs := s.server(extidx.ModeDefinition, "").LOBs()
+	id, err := lobs.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := lobs.Open(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteAt(make([]byte, 3*storage.PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
 	}
 
-	var a Metrics
-	a.Merge(b)
-	got := map[string]float64{}
-	collectLeaves("Metrics", reflect.ValueOf(&a).Elem(), got)
-	for path := range want {
-		v, ok := got[path]
-		if !ok {
-			t.Errorf("Metrics.Merge dropped %s entirely", path)
+	mustQuery(t, s, `SELECT id FROM Docs WHERE HasKw(body, 'unix')`)
+	s.SetParallel(2)
+	if plan := flattenPlan(mustQuery(t, s, `EXPLAIN ANALYZE SELECT COUNT(*) FROM Wide`)); !strings.Contains(plan, "parallel=") {
+		t.Fatalf("scan did not go parallel:\n%s", plan)
+	}
+	s.SetParallel(1)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Metrics()
+
+	was, now := map[string]float64{}, map[string]float64{}
+	collectLeaves("Metrics", reflect.ValueOf(&before).Elem(), was)
+	collectLeaves("Metrics", reflect.ValueOf(&after).Elem(), now)
+	if len(was) < 40 {
+		t.Fatalf("walker found only %d leaves — reflection walk broken?", len(was))
+	}
+	for path, v := range was {
+		if path == "Metrics.Workspace.Live" {
 			continue
 		}
-		if v == 0 {
-			t.Errorf("Metrics.Merge does not fold %s (still zero after merging a populated snapshot)", path)
+		if got, ok := now[path]; !ok || got < v {
+			t.Errorf("%s went down: %v -> %v", path, v, got)
+		}
+	}
+	// Each workload step must have moved a counter, or the check above
+	// passes vacuously.
+	for _, path := range []string{
+		"Metrics.Txn.Commits",
+		"Metrics.Pager.Allocs",
+		"Metrics.Pager.Writes",
+		"Metrics.Planner.Plans",
+		"Metrics.ODCI.Callbacks[ODCIIndexUpdate].Calls",
+		"Metrics.ODCI.Callbacks[ODCIIndexFetch].Calls",
+		"Metrics.Exec.Exchanges",
+	} {
+		if now[path] <= was[path] {
+			t.Errorf("%s did not grow over the workload: %v -> %v", path, was[path], now[path])
 		}
 	}
 }

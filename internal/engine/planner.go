@@ -256,21 +256,6 @@ type domainParallel struct {
 	batch int
 }
 
-// pickFetchBatch chooses the ODCI Fetch batch size (= chunk size) for a
-// domain scan: an explicit DB default wins; otherwise grow from 16 by
-// doubling until the cardinality estimate is covered, capped at 2048 so
-// a bad estimate cannot demand an unbounded batch.
-func pickFetchBatch(dflt int, estRows float64) int {
-	if dflt > 0 {
-		return dflt
-	}
-	b := 16
-	for float64(b) < estRows && b < 2048 {
-		b *= 2
-	}
-	return b
-}
-
 // tableStats derives the optimizer inputs.
 func tableStats(tbl *catalog.Table) (rows float64, pages float64) {
 	rows = float64(tbl.RowCount)
@@ -598,7 +583,7 @@ func (s *Session) domainPaths(tb *tableBinding, conjuncts []sql.Expr, params []t
 					}
 				}
 			}
-			batch := pickFetchBatch(s.db.DefaultFetchBatch, sel*rows)
+			batch := s.db.DefaultFetchBatch
 			ap := accessPath{
 				kind:     "DOMAIN",
 				desc:     fmt.Sprintf("DOMAIN INDEX %s (%s via %s)", strings.ToUpper(ix.Name), pred.opName, ix.IndexType),
@@ -732,7 +717,7 @@ func (s *Session) choosePath(tb *tableBinding, conjuncts []sql.Expr, params []ty
 
 // buildTableAccess assembles the iterator for one table: chosen access
 // path plus residual filters, returning also the chosen path for EXPLAIN.
-// Always serial — joins and DML scans use it; the single-table SELECT
+// Always serial — joins use it; the single-table SELECT
 // branch goes through buildParallelTableAccess instead.
 func (s *Session) buildTableAccess(tb *tableBinding, conjuncts []sql.Expr, params []types.Value) (exec.Iterator, accessPath, error) {
 	path := s.choosePath(tb, conjuncts, params)
@@ -1023,7 +1008,7 @@ func (s *Session) planJoin(tbs []*tableBinding, conjuncts []sql.Expr, params []t
 					Info:      dj.info,
 					Call:      extidx.OperatorCall{Name: dj.opName, Args: args, Relop: dj.relop, Bound: dj.bound},
 					Heap:      inner.tbl.Heap,
-					BatchSize: pickFetchBatch(s.db.DefaultFetchBatch, 0),
+					BatchSize: s.db.DefaultFetchBatch,
 				}
 				if len(innerConj) > 0 {
 					inIt = &exec.Filter{Child: inIt, Pred: innerPred}

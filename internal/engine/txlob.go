@@ -58,9 +58,6 @@ func (t txLOBStore) Delete(id int64) error {
 // Stats implements loblib.Store.
 func (t txLOBStore) Stats() loblib.Stats { return t.s.db.lobs.Stats() }
 
-// ResetStats implements loblib.Store.
-func (t txLOBStore) ResetStats() { t.s.db.lobs.ResetStats() }
-
 // txBlob wraps a LOB handle, logging before-images for undo.
 type txBlob struct {
 	store txLOBStore

@@ -52,7 +52,6 @@ type Store interface {
 	Open(id int64) (Blob, error)
 	Delete(id int64) error
 	Stats() Stats
-	ResetStats()
 }
 
 // ---------------------------------------------------------------------------
@@ -129,14 +128,6 @@ func (s *LOBStore) Stats() Stats {
 	// Physical writes for LOB data are whatever the pager wrote back.
 	st.PhysicalWrites = s.pager.Stats().Writes
 	return st
-}
-
-// ResetStats implements Store.
-func (s *LOBStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-	s.pager.ResetStats()
 }
 
 // Locks exposes the byte-range lock table for LOB-resident index
@@ -356,13 +347,6 @@ func (s *FileStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// ResetStats implements Store.
-func (s *FileStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
 }
 
 type fileHandle struct {

@@ -47,31 +47,12 @@ func (c *ConflictStats) Snapshot() ConflictSnapshot {
 	return s
 }
 
-// Reset zeroes the aggregate.
-func (c *ConflictStats) Reset() {
-	c.aborts.Store(0)
-	c.mu.Lock()
-	c.byTable = nil
-	c.mu.Unlock()
-}
-
 // ConflictSnapshot is an inert copy of ConflictStats.
 type ConflictSnapshot struct {
 	// Aborts counts transactions aborted by ErrWriteConflict.
 	Aborts int64
 	// ByTable breaks the aborts down by table name (absent when zero).
 	ByTable map[string]int64
-}
-
-// Merge folds another snapshot into this one.
-func (s *ConflictSnapshot) Merge(o ConflictSnapshot) {
-	s.Aborts += o.Aborts
-	if len(o.ByTable) > 0 && s.ByTable == nil {
-		s.ByTable = map[string]int64{}
-	}
-	for k, v := range o.ByTable {
-		s.ByTable[k] += v
-	}
 }
 
 // String renders the snapshot as one line.

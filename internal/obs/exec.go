@@ -34,13 +34,6 @@ func (e *ExecStats) Snapshot() ExecSnapshot {
 	}
 }
 
-// Reset zeroes the aggregate.
-func (e *ExecStats) Reset() {
-	e.exchanges.Store(0)
-	e.morselsDispatched.Store(0)
-	e.workerBusyNanos.Store(0)
-}
-
 // ExecSnapshot is an inert copy of ExecStats.
 type ExecSnapshot struct {
 	// Exchanges counts exchange operators that started workers.
@@ -50,13 +43,6 @@ type ExecSnapshot struct {
 	// WorkerBusyNanos is cumulative worker time inside morsel NextBatch
 	// calls (overlapping across workers, so it can exceed wall time).
 	WorkerBusyNanos int64
-}
-
-// Merge folds another snapshot into this one.
-func (s *ExecSnapshot) Merge(o ExecSnapshot) {
-	s.Exchanges += o.Exchanges
-	s.MorselsDispatched += o.MorselsDispatched
-	s.WorkerBusyNanos += o.WorkerBusyNanos
 }
 
 // String renders the snapshot as one line.

@@ -27,9 +27,10 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a race-free monotonic (or resettable) event counter. The
-// zero value is ready to use. The underlying word is unexported so the
-// only way to update it is through these helpers.
+// Counter is a race-free monotonic event counter: it only goes up, so an
+// interval is read as the difference of two snapshots. The zero value is
+// ready to use. The underlying word is unexported so the only way to
+// update it is through these helpers.
 type Counter struct {
 	v atomic.Int64
 }
@@ -42,9 +43,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Store overwrites the value (ResetStats paths).
-func (c *Counter) Store(n int64) { c.v.Store(n) }
 
 // StoreMax raises the value to n if n is larger (high-water marks).
 func (c *Counter) StoreMax(n int64) {
@@ -113,15 +111,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // HistogramBucket is one populated bucket of a snapshot.
 type HistogramBucket struct {
 	UpperBound int64 // inclusive; observations v satisfy v <= UpperBound
@@ -142,26 +131,6 @@ func (s HistogramSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
-}
-
-// Merge folds another snapshot into this one (bench aggregation).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	by := make(map[int64]int64, len(s.Buckets)+len(o.Buckets))
-	for _, b := range s.Buckets {
-		by[b.UpperBound] += b.Count
-	}
-	for _, b := range o.Buckets {
-		by[b.UpperBound] += b.Count
-	}
-	s.Buckets = s.Buckets[:0]
-	for i := 0; i < histBuckets; i++ {
-		ub := BucketUpperBound(i)
-		if n := by[ub]; n > 0 {
-			s.Buckets = append(s.Buckets, HistogramBucket{UpperBound: ub, Count: n})
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -206,15 +175,6 @@ func (p *PlannerStats) Snapshot() PlannerSnapshot {
 	return s
 }
 
-// Reset zeroes the aggregate.
-func (p *PlannerStats) Reset() {
-	p.plans.Store(0)
-	p.candidates.Store(0)
-	p.mu.Lock()
-	p.chosen = nil
-	p.mu.Unlock()
-}
-
 // PlannerSnapshot is an inert copy of PlannerStats.
 type PlannerSnapshot struct {
 	// Plans counts choosePath invocations (one per planned table access).
@@ -223,18 +183,6 @@ type PlannerSnapshot struct {
 	Candidates int64
 	// ChosenByKind counts winning paths per kind (FULL, BTREE, DOMAIN, …).
 	ChosenByKind map[string]int64
-}
-
-// Merge folds another snapshot into this one.
-func (s *PlannerSnapshot) Merge(o PlannerSnapshot) {
-	s.Plans += o.Plans
-	s.Candidates += o.Candidates
-	if s.ChosenByKind == nil {
-		s.ChosenByKind = map[string]int64{}
-	}
-	for k, v := range o.ChosenByKind {
-		s.ChosenByKind[k] += v
-	}
 }
 
 // String renders the snapshot as one line.

@@ -14,10 +14,6 @@ func TestCounter(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Fatalf("Load = %d, want 42", got)
 	}
-	c.Store(7)
-	if got := c.Load(); got != 7 {
-		t.Fatalf("after Store: Load = %d, want 7", got)
-	}
 }
 
 func TestCounterConcurrent(t *testing.T) {
@@ -75,29 +71,6 @@ func TestHistogramSnapshotAndMean(t *testing.T) {
 	if (HistogramSnapshot{}).Mean() != 0 {
 		t.Fatal("empty Mean != 0")
 	}
-	h.Reset()
-	if s := h.Snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
-		t.Fatalf("after Reset: %+v", s)
-	}
-}
-
-func TestHistogramSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(1)
-	a.Observe(100)
-	b.Observe(1)
-	b.Observe(5)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 4 || sa.Sum != 107 {
-		t.Fatalf("merged Count=%d Sum=%d, want 4/107", sa.Count, sa.Sum)
-	}
-	// Bucket for v=1 must have merged to count 2.
-	for _, bk := range sa.Buckets {
-		if bk.UpperBound == 1 && bk.Count != 2 {
-			t.Fatalf("ub=1 bucket count = %d, want 2", bk.Count)
-		}
-	}
 }
 
 func TestPlannerStats(t *testing.T) {
@@ -112,16 +85,6 @@ func TestPlannerStats(t *testing.T) {
 	if s.ChosenByKind["DOMAIN"] != 2 || s.ChosenByKind["FULL"] != 1 {
 		t.Fatalf("ChosenByKind = %v", s.ChosenByKind)
 	}
-	var o PlannerSnapshot
-	o.Merge(s)
-	o.Merge(s)
-	if o.Plans != 6 || o.ChosenByKind["DOMAIN"] != 4 {
-		t.Fatalf("after double merge: %+v", o)
-	}
-	p.Reset()
-	if s := p.Snapshot(); s.Plans != 0 || len(s.ChosenByKind) != 0 {
-		t.Fatalf("after Reset: %+v", s)
-	}
 }
 
 func TestODCIStats(t *testing.T) {
@@ -135,9 +98,6 @@ func TestODCIStats(t *testing.T) {
 	o.RecordScanTransport(false)
 	o.RecordScanTransport(false)
 
-	if got := o.Calls(CbFetch); got != 2 {
-		t.Fatalf("Calls(CbFetch) = %d, want 2", got)
-	}
 	s := o.Snapshot()
 	fetch := s.Callbacks["ODCIIndexFetch"]
 	if fetch.Calls != 2 || fetch.Nanos != 3000 {
@@ -153,19 +113,8 @@ func TestODCIStats(t *testing.T) {
 		t.Fatalf("fetch batch = %+v", s.FetchBatch)
 	}
 
-	var m ODCISnapshot
-	m.Merge(s)
-	m.Merge(s)
-	if m.Callbacks["ODCIIndexFetch"].Calls != 4 || m.StateValueScans != 4 {
-		t.Fatalf("after double merge: %+v", m)
-	}
-	if out := m.String(); !strings.Contains(out, "ODCIIndexFetch") {
+	if out := s.String(); !strings.Contains(out, "ODCIIndexFetch") {
 		t.Fatalf("String() = %q", out)
-	}
-
-	o.Reset()
-	if s := o.Snapshot(); len(s.Callbacks) != 0 || s.StateValueScans != 0 {
-		t.Fatalf("after Reset: %+v", s)
 	}
 }
 

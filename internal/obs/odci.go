@@ -110,26 +110,6 @@ func (o *ODCIStats) RecordScanTransport(handle bool) {
 	}
 }
 
-// Calls returns the invocation count of one callback (tests and the
-// smoke harness read it without building a full snapshot).
-func (o *ODCIStats) Calls(cb Callback) int64 {
-	if cb < 0 || cb >= numCallbacks {
-		return 0
-	}
-	return o.calls[cb].Load()
-}
-
-// ResetCallback zeroes the count and wall time of one callback. The
-// engine uses it to reset the Fetch-call counter that benchmark sweeps
-// read, without discarding the rest of the aggregate.
-func (o *ODCIStats) ResetCallback(cb Callback) {
-	if cb < 0 || cb >= numCallbacks {
-		return
-	}
-	o.calls[cb].Store(0)
-	o.nanos[cb].Store(0)
-}
-
 // Snapshot returns an inert copy (callbacks never invoked are omitted).
 func (o *ODCIStats) Snapshot() ODCISnapshot {
 	s := ODCISnapshot{
@@ -144,17 +124,6 @@ func (o *ODCIStats) Snapshot() ODCISnapshot {
 		}
 	}
 	return s
-}
-
-// Reset zeroes the aggregate.
-func (o *ODCIStats) Reset() {
-	for cb := Callback(0); cb < numCallbacks; cb++ {
-		o.calls[cb].Store(0)
-		o.nanos[cb].Store(0)
-	}
-	o.fetchBatch.Reset()
-	o.stateValue.Store(0)
-	o.stateHandle.Store(0)
 }
 
 // CallbackStats is the per-callback slice of an ODCISnapshot.
@@ -174,22 +143,6 @@ type ODCISnapshot struct {
 	// context transport.
 	StateValueScans  int64
 	StateHandleScans int64
-}
-
-// Merge folds another snapshot into this one.
-func (s *ODCISnapshot) Merge(o ODCISnapshot) {
-	if s.Callbacks == nil {
-		s.Callbacks = map[string]CallbackStats{}
-	}
-	for k, v := range o.Callbacks {
-		cur := s.Callbacks[k]
-		cur.Calls += v.Calls
-		cur.Nanos += v.Nanos
-		s.Callbacks[k] = cur
-	}
-	s.FetchBatch.Merge(o.FetchBatch)
-	s.StateValueScans += o.StateValueScans
-	s.StateHandleScans += o.StateHandleScans
 }
 
 // String renders the snapshot, one callback per line, busiest first.

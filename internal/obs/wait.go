@@ -18,8 +18,8 @@ import (
 // no map.
 
 // WaitClass identifies one kind of blocked time. The enum is closed:
-// adding a class means adding recording sites, a String case, and (via
-// the benchrunner smoke check) proof that the class actually fires.
+// adding a class means adding recording sites, a String case, and proof
+// that the class actually fires.
 type WaitClass int
 
 const (
@@ -180,19 +180,6 @@ func (w *WaitStats) RecordAux(class WaitClass, n int64, aux string) {
 	}
 }
 
-// Reset zeroes the table (histogram included).
-func (w *WaitStats) Reset() {
-	if w == nil {
-		return
-	}
-	for i := range w.classes {
-		w.classes[i].count.Store(0)
-		w.classes[i].totalNanos.Store(0)
-		w.classes[i].maxNanos.Store(0)
-	}
-	w.durations.Reset()
-}
-
 // Snapshot returns an inert copy of the table. Classes that never
 // fired are omitted.
 func (w *WaitStats) Snapshot() WaitSnapshot {
@@ -231,24 +218,6 @@ type WaitSnapshot struct {
 	// Durations is the all-class power-of-two histogram of wait lengths
 	// in nanoseconds.
 	Durations HistogramSnapshot
-}
-
-// Merge folds another snapshot into this one (counts and totals add,
-// maxima take the larger value).
-func (s *WaitSnapshot) Merge(o WaitSnapshot) {
-	if len(o.Classes) > 0 && s.Classes == nil {
-		s.Classes = map[string]WaitCounts{}
-	}
-	for k, v := range o.Classes {
-		c := s.Classes[k]
-		c.Count += v.Count
-		c.TotalNanos += v.TotalNanos
-		if v.MaxNanos > c.MaxNanos {
-			c.MaxNanos = v.MaxNanos
-		}
-		s.Classes[k] = c
-	}
-	s.Durations.Merge(o.Durations)
 }
 
 // Delta returns this snapshot minus an earlier one of the same table —

@@ -566,31 +566,6 @@ func (p *Pager) ShardStats() []ShardStats {
 	return out
 }
 
-// ResetStats zeroes the I/O counters (used between benchmark phases).
-// Like Stats, it write-locks every shard so a reset cannot interleave
-// with a statement's increments and tear the counters relative to each
-// other.
-func (p *Pager) ResetStats() {
-	for i := range p.shards {
-		p.shards[i].mu.Lock()
-	}
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.fetches.Store(0)
-		sh.hits.Store(0)
-		sh.misses.Store(0)
-		sh.writes.Store(0)
-		sh.evictions.Store(0)
-	}
-	p.allocs.Store(0)
-	p.lockWaits.Store(0)
-	p.lockWaitNanos.Store(0)
-	for i := len(p.shards) - 1; i >= 0; i-- {
-		p.shards[i].mu.Unlock()
-	}
-	//vetx:ignore lockbalance -- lock-all-shards reset: the descending loop above released every shard latch
-}
-
 // Fetch pins the page in the pool, reading it from the backend on a miss.
 // The caller must Unpin it when done. The resident path runs under the
 // shard's shared latch with an atomic pin — concurrent hits on one shard

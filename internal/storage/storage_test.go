@@ -415,18 +415,18 @@ func TestHeapGetBatch(t *testing.T) {
 	// The page-sorted batch read must pin each page once per run instead
 	// of once per row: fetching many same-page rows costs far fewer
 	// logical page requests than per-row Get.
-	p.ResetStats()
+	before := p.Stats().Fetches
 	if _, err := h.GetBatch(rids[:64]); err != nil {
 		t.Fatal(err)
 	}
-	batchFetches := p.Stats().Fetches
-	p.ResetStats()
+	batchFetches := p.Stats().Fetches - before
+	before = p.Stats().Fetches
 	for _, rid := range rids[:64] {
 		if _, err := h.Get(rid); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rowFetches := p.Stats().Fetches
+	rowFetches := p.Stats().Fetches - before
 	if batchFetches*2 > rowFetches {
 		t.Errorf("batch read cost %d page fetches vs %d per-row; expected well under half", batchFetches, rowFetches)
 	}

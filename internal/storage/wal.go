@@ -194,11 +194,8 @@ type WAL struct {
 	bytes      obs.Counter
 	syncs      obs.Counter
 	// grouped counts commit records made durable through sync epochs;
-	// grouped/syncs is the commits-per-fsync ratio the W1 bench asserts
-	// on. groupSizes is the distribution of batch sizes (commit records
-	// per fsync epoch).
-	grouped    obs.Counter
-	groupSizes obs.Histogram
+	// grouped/syncs is the commits-per-fsync ratio.
+	grouped obs.Counter
 
 	// waits/flight, when set, receive SyncShared blocked time
 	// (WaitWALGroupFsync) and one EvGroupFsync flight event per covering
@@ -400,20 +397,6 @@ func (w *WAL) AddStats(s *Stats) {
 	s.WALGroupedCommits += w.grouped.Load()
 }
 
-// ResetStats zeroes the traffic counters (benchmark phases); the log
-// itself is untouched.
-func (w *WAL) ResetStats() {
-	w.recs.Store(0)
-	w.pages.Store(0)
-	w.fullPages.Store(0)
-	w.deltaBytes.Store(0)
-	w.commits.Store(0)
-	w.bytes.Store(0)
-	w.syncs.Store(0)
-	w.grouped.Store(0)
-	w.groupSizes.Reset()
-}
-
 // AppendPage logs the full image of one page as a batch of its own.
 func (w *WAL) AppendPage(id PageID, data []byte) error {
 	if _, _, err := w.stagePage(id, nil, data); err != nil {
@@ -497,16 +480,11 @@ func (w *WAL) SyncShared(target int64) error {
 	w.syncs.Inc()
 	if batch > 0 {
 		w.grouped.Add(batch)
-		w.groupSizes.Observe(batch)
 		w.flight.Record(obs.EvGroupFsync, batch, fsyncNanos, "")
 	}
 	w.syncDone.Broadcast()
 	return nil
 }
-
-// GroupSizes returns the distribution of commit-batch sizes (commit
-// records covered per fsync epoch).
-func (w *WAL) GroupSizes() obs.HistogramSnapshot { return w.groupSizes.Snapshot() }
 
 // TruncateToSynced discards every byte appended after the last
 // successful sync. The engine calls it when an append or sync fails: the

@@ -265,9 +265,11 @@ func TestWALGroupCommitInterleavingEquivalence(t *testing.T) {
 			}
 			i += g
 		}
-		if gs := w.GroupSizes(); gs.Count == 0 || gs.Sum != int64(k) {
-			t.Fatalf("seed %d: group histogram observed %d commits over %d syncs, want %d commits",
-				seed, gs.Sum, gs.Count, k)
+		var st Stats
+		w.AddStats(&st)
+		if st.WALSyncs == 0 || st.WALGroupedCommits != int64(k) {
+			t.Fatalf("seed %d: group counters observed %d commits over %d syncs, want %d commits",
+				seed, st.WALGroupedCommits, st.WALSyncs, k)
 		}
 
 		// Serial schedule: same commit order, one fsync per commit.

@@ -112,13 +112,6 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the lifecycle counters (benchmark phases).
-func (m *Manager) ResetStats() {
-	m.begins.Store(0)
-	m.commits.Store(0)
-	m.rollbacks.Store(0)
-}
-
 // SetCommitSink installs the durability hook run by every Commit before
 // the transaction is finalized or acknowledged. The engine points it at
 // the WAL: append the transaction's page images and a commit record,

@@ -232,7 +232,7 @@ func TestStressConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := db.Metrics()
-	if m.Pager.WALGroupedCommits == 0 || m.CommitGroups.Count == 0 {
+	if m.Pager.WALGroupedCommits == 0 || m.Pager.WALSyncs == 0 {
 		t.Fatalf("group-commit counters dead after %d writers: %+v", stressWriters, m.Pager)
 	}
 	if err := db.Checkpoint(); err != nil {
