@@ -12,13 +12,14 @@ import (
 // same DB.Checkpoint every caller uses, so the admission-map refusal
 // rules are enforced for it exactly as for a foreground caller.
 //
-// It is edge-triggered, not polled. Commit acknowledgements and buffer-
-// pool backpressure poke the trigger channel (non-blocking, capacity 1 —
-// pokes coalesce); on each wake it re-evaluates the thresholds and
-// checkpoints while one is exceeded. A checkpoint refused because a
-// writer is admitted (ErrTxnOpen) is counted as a skip and simply waits
-// for the next poke — the open writer's own commit is a guaranteed
-// future poke, so no timer is needed and an idle database runs no code.
+// It is edge-triggered, not polled. Every release of write admission
+// (which follows every commit) and buffer-pool backpressure poke the
+// trigger channel (non-blocking, capacity 1 — pokes coalesce); on each
+// wake it re-evaluates the thresholds and checkpoints while one is
+// exceeded. A checkpoint refused because a writer is admitted
+// (ErrTxnOpen) is counted as a skip and simply waits for the next poke —
+// the open writer's own admission release is a guaranteed future poke,
+// so no timer is needed and an idle database runs no code.
 //
 // Close drains it deterministically: stopCheckpointer closes stop and
 // waits for done, after which no background checkpoint can be in flight
@@ -115,9 +116,9 @@ func (c *checkpointer) run() {
 			}
 			c.skips.Inc()
 			if errors.Is(err, ErrTxnOpen) {
-				// An admitted writer blocked us. Its commit (or rollback's
-				// following commit traffic) pokes again; restore the forced
-				// flag so a backpressure-driven attempt is not lost.
+				// An admitted writer blocked us. Releasing its admission
+				// pokes again; restore the forced flag so a
+				// backpressure-driven attempt is not lost.
 				c.forced.Store(true)
 			}
 			// Any error ends this wake: ErrWALBroken and I/O errors are

@@ -250,11 +250,7 @@ func (db *DB) admitTxn(t *txn.Txn, exclusive bool) {
 			wasEx := db.admitted[t]
 			delete(db.admitted, t)
 			db.admitMu.Unlock()
-			if wasEx {
-				db.admission.Unlock()
-			} else {
-				db.admission.RUnlock()
-			}
+			db.admitRelease(wasEx)
 		}
 		t.OnCommit(release)
 		t.OnRollback(release)
@@ -282,13 +278,21 @@ func (db *DB) admitAcquire(exclusive bool) {
 	//vetx:ignore lockbalance -- acquisition helper: callers pair it with admitRelease or transfer ownership
 }
 
-// admitRelease undoes one admitAcquire (statement-scoped autocommit
-// grants).
+// admitRelease undoes one admitAcquire (a statement-scoped autocommit
+// grant, or a transaction's grant when it finishes) and then pokes the
+// background checkpointer. The poke must follow the release: a writer's
+// commit may have pushed the log or the dirty-frame count over a
+// threshold, or a checkpoint may have been refused while this writer
+// was admitted, and a checkpointer woken while admission is still held
+// only fails its TryLock and waits for a poke that never comes.
 func (db *DB) admitRelease(exclusive bool) {
 	if exclusive {
 		db.admission.Unlock()
 	} else {
 		db.admission.RUnlock()
+	}
+	if db.ckpt != nil {
+		db.ckpt.poke(false)
 	}
 }
 
@@ -523,12 +527,6 @@ func (db *DB) logCommit(txID int64, forceDurable bool) error {
 		err = db.failWAL(err)
 		db.walMu.Unlock()
 		return err
-	}
-	// The acknowledged commit may have pushed the log or the dirty-frame
-	// count over a checkpoint threshold; let the background checkpointer
-	// re-evaluate (coalesced, non-blocking).
-	if db.ckpt != nil {
-		db.ckpt.poke(false)
 	}
 	return nil
 }

@@ -96,19 +96,13 @@ func (s *Session) buildParallelTableAccess(tb *tableBinding, conjuncts []sql.Exp
 		return m
 	}
 
-	var src exec.MorselSource
-	var onClose func() error
+	var morsels []exec.Iterator
 	switch {
 	case path.parHeap != nil:
 		pages := path.parHeap.PageList()
-		ranges := exec.PageRanges(pages, morselPages(len(pages), degree))
-		src = exec.NewMorselQueue(len(ranges), func(i int) (exec.Iterator, error) {
-			hs, err := exec.NewHeapRangeScan(path.parHeap, ranges[i])
-			if err != nil {
-				return nil, err
-			}
-			return wrap(hs), nil
-		})
+		for _, r := range exec.PageRanges(pages, morselPages(len(pages), degree)) {
+			morsels = append(morsels, wrap(exec.NewHeapScan(path.parHeap, r)))
+		}
 	case path.parDom != nil:
 		d := path.parDom
 		var parts []extidx.ScanState
@@ -116,16 +110,11 @@ func (s *Session) buildParallelTableAccess(tb *tableBinding, conjuncts []sql.Exp
 		if err != nil {
 			return nil, path, false, fmt.Errorf("ODCIIndexStartParallel(%s): %w", d.info.IndexName, err)
 		}
-		if len(parts) == 0 {
-			src = exec.NewMorselQueue(0, nil)
-			break
-		}
-		its := make([]exec.Iterator, len(parts))
-		for i, p := range parts {
+		for _, p := range parts {
 			// Each partition's Fetch/Close runs on whichever worker
-			// pulls it; a fresh callback server per partition keeps the
+			// takes it; a fresh callback server per partition keeps the
 			// ODCI boundary per-goroutine.
-			its[i] = wrap(&exec.DomainScan{
+			morsels = append(morsels, wrap(&exec.DomainScan{
 				Methods:    d.m,
 				Server:     s.server(extidx.ModeScan, d.table),
 				Info:       d.info,
@@ -134,16 +123,14 @@ func (s *Session) buildParallelTableAccess(tb *tableBinding, conjuncts []sql.Exp
 				BatchSize:  d.batch,
 				Pre:        p,
 				PreStarted: true,
-			})
+			}))
 		}
-		src, onClose = exec.NewIteratorQueue(its)
 	}
 
 	ex := &exec.Exchange{
-		Source:    src,
+		Morsels:   morsels,
 		Workers:   degree,
 		BatchSize: path.batch,
-		OnClose:   onClose,
 		Stats:     &s.db.execStats,
 		Waits:     &s.db.waits,
 	}

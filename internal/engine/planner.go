@@ -284,7 +284,7 @@ func (s *Session) fullScanPath(tb *tableBinding) accessPath {
 		consumed: -1,
 		parHeap:  tb.tbl.Heap,
 		build: func() (exec.Iterator, error) {
-			return exec.NewHeapScan(tb.tbl.Heap)
+			return exec.NewHeapScan(tb.tbl.Heap, tb.tbl.Heap.PageList()), nil
 		},
 	}
 }

@@ -460,6 +460,94 @@ func propertyHeap(t *testing.T, n int) (*storage.Heap, []int64) {
 	return h, rids
 }
 
+// TestHeapScanProperty: a heap churned by deletes and by growing
+// updates that relocate rows behind forwarding stubs is drained through
+// HeapScan over the whole page list and over every PageRanges split, at
+// several chunk sizes. Each live row must come out exactly once, with its
+// current image and its canonical RID as the ROWID column.
+func TestHeapScanProperty(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h, rids := propertyHeap(t, 600+rng.Intn(600))
+		pagesBefore := h.NumPages()
+		want := make(map[int64]string, len(rids)) // ROWID -> encoded row
+		for i, r := range rids {
+			rid := storage.RIDFromInt64(r)
+			row := []types.Value{types.Int(int64(i))}
+			switch rng.Intn(10) {
+			case 0:
+				if err := h.Delete(rid); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			case 1, 2:
+				row = append(row, types.Str(strings.Repeat("x", 200+rng.Intn(800))))
+				if err := h.Update(rid, types.EncodeRow(nil, row)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want[r] = string(types.EncodeRow(nil, row))
+		}
+		if h.NumPages() <= pagesBefore {
+			t.Fatalf("seed %d: growing updates relocated nothing", seed)
+		}
+		pages := h.PageList()
+		splits := [][][]storage.PageID{{pages}}
+		for _, per := range []int{1, 2, 3, 7} {
+			splits = append(splits, PageRanges(pages, per))
+		}
+		for _, ranges := range splits {
+			for _, batch := range []int{1, 3, DefaultChunkSize} {
+				got := make(map[int64]string, len(want))
+				for _, r := range ranges {
+					rows, err := drainWith(NewHeapScan(h, r), batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, row := range rows {
+						rid := row[len(row)-1].Int64()
+						if _, dup := got[rid]; dup {
+							t.Fatalf("seed %d, %d ranges, batch %d: ROWID %d scanned twice", seed, len(ranges), batch, rid)
+						}
+						got[rid] = string(types.EncodeRow(nil, row[:len(row)-1]))
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d, %d ranges, batch %d: %d rows, want %d", seed, len(ranges), batch, len(got), len(want))
+				}
+				for rid, img := range want {
+					if got[rid] != img {
+						t.Fatalf("seed %d, %d ranges, batch %d: ROWID %d has the wrong image", seed, len(ranges), batch, rid)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHeapScanAllocsPerRow: a streaming scan allocates each row's value
+// slice and nothing else per row — no per-record image copy, and the
+// ROWID column fits the slot DecodeRow leaves for it.
+func TestHeapScanAllocsPerRow(t *testing.T) {
+	const n = 5000
+	h, _ := propertyHeap(t, n)
+	c := NewChunk(DefaultChunkSize)
+	allocs := testing.AllocsPerRun(5, func() {
+		s := NewHeapScan(h, h.PageList())
+		for {
+			if err := s.NextBatch(c); err != nil {
+				t.Fatal(err)
+			}
+			if c.Len() == 0 {
+				return
+			}
+		}
+	})
+	if perRow := allocs / n; perRow > 1.1 {
+		t.Fatalf("draining a %d-row heap allocates %.2f per row, want <= 1.1", n, perRow)
+	}
+}
+
 func domainScanRowIDs(t *testing.T, rows []Row) []int64 {
 	t.Helper()
 	out := make([]int64, len(rows))

@@ -13,63 +13,58 @@ import (
 // ---------------------------------------------------------------------------
 // Heap scan
 
-// HeapScan yields every row of a heap, appending the RID pseudo-column.
+// HeapScan streams the rows of a list of heap pages, appending the RID
+// pseudo-column. Each refill pins one page, decodes its rows straight
+// from the page image, and unpins it, so the scan holds at most one
+// page's decoded rows and reads nothing until its first NextBatch. The
+// whole heap is h.PageList(); a parallel morsel is one PageRanges entry.
+// Statements hold table locks until their result is drained, so the page
+// list taken at construction stays valid for the scan's lifetime.
 type HeapScan struct {
-	rows []Row
-	pos  int
+	heap  *storage.Heap
+	pages []storage.PageID
+	rows  []Row // the current page's decoded rows
+	pos   int
 }
 
-// NewHeapScan materializes the scan order up front (RIDs plus decoded
-// rows). The heap is not safe against concurrent structural change, and
-// statements hold table locks for their duration, so eager RID collection
-// is safe and keeps the iterator simple.
-func NewHeapScan(h *storage.Heap) (*HeapScan, error) {
-	s := &HeapScan{}
-	err := h.Scan(func(rid storage.RID, img []byte) (bool, error) {
-		row, _, err := types.DecodeRow(img)
-		if err != nil {
-			return false, err
-		}
-		row = append(row, types.Int(rid.Int64()))
-		s.rows = append(s.rows, row)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// NewHeapRangeScan is NewHeapScan restricted to one page range — the
-// per-morsel row source of a parallel heap scan. Each morsel
-// materializes only its own range, so memory stays bounded by morsel
-// size times the worker count rather than by the table, and the decode
-// work (the CPU part of a scan) lands on the worker goroutine.
-func NewHeapRangeScan(h *storage.Heap, pages []storage.PageID) (*HeapScan, error) {
-	s := &HeapScan{}
-	err := h.ScanPages(pages, func(rid storage.RID, img []byte) (bool, error) {
-		row, _, err := types.DecodeRow(img)
-		if err != nil {
-			return false, err
-		}
-		row = append(row, types.Int(rid.Int64()))
-		s.rows = append(s.rows, row)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+// NewHeapScan returns a scan over pages of h.
+func NewHeapScan(h *storage.Heap, pages []storage.PageID) *HeapScan {
+	return &HeapScan{heap: h, pages: pages}
 }
 
 // NextBatch implements Iterator.
 func (s *HeapScan) NextBatch(c *Chunk) error {
 	c.Reset()
-	for s.pos < len(s.rows) && !c.Full() {
+	for !c.Full() {
+		if s.pos == len(s.rows) {
+			if len(s.pages) == 0 {
+				return nil
+			}
+			if err := s.refill(); err != nil {
+				return err
+			}
+			continue
+		}
 		c.Append(s.rows[s.pos])
 		s.pos++
 	}
 	return nil
+}
+
+// refill decodes the next page's rows into s.rows. Decoding copies all
+// byte content, so the rows outlive the page pin.
+func (s *HeapScan) refill() error {
+	page := s.pages[:1]
+	s.pages = s.pages[1:]
+	s.rows, s.pos = s.rows[:0], 0
+	return s.heap.ScanPages(page, func(rid storage.RID, img []byte) (bool, error) {
+		row, _, err := types.DecodeRow(img)
+		if err != nil {
+			return false, err
+		}
+		s.rows = append(s.rows, append(row, types.Int(rid.Int64())))
+		return true, nil
+	})
 }
 
 // Close implements Iterator.

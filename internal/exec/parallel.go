@@ -2,8 +2,8 @@
 // executable slice of a scan — a heap page range, or one partition of a
 // partitioned ODCI index scan — packaged as an Iterator pipeline
 // (optionally with Filter/Project/partial-aggregate stages stacked on
-// top). Exchange fans N worker goroutines out over a shared morsel
-// source and funnels their result chunks back to the single consuming
+// top). Exchange fans N worker goroutines out over one morsel list and
+// funnels their result chunks back to the single consuming
 // goroutine, so everything above the exchange stays a plain serial
 // iterator.
 //
@@ -25,57 +25,6 @@ import (
 	"repro/internal/storage"
 )
 
-// MorselSource hands out the next morsel pipeline, or nil when the scan
-// is exhausted. It is called from worker goroutines concurrently and
-// must be safe for concurrent use; the returned iterator is owned (run
-// and closed) by the pulling worker.
-type MorselSource func() (Iterator, error)
-
-// NewMorselQueue returns a source handing out n lazily built morsels in
-// index order. The builder runs on the pulling worker's goroutine, so
-// per-morsel materialization (page-range decode, for instance) is
-// itself parallel work. Builders hold no resources before they run, so
-// morsels never pulled need no cleanup.
-func NewMorselQueue(n int, build func(i int) (Iterator, error)) MorselSource {
-	var next atomic.Int64
-	return func() (Iterator, error) {
-		i := next.Add(1) - 1
-		if i >= int64(n) {
-			return nil, nil
-		}
-		return build(int(i))
-	}
-}
-
-// NewIteratorQueue returns a source handing out pre-built iterators —
-// morsels that already hold resources, like ODCI scan partitions opened
-// by StartParallel — plus a cleanup function closing every iterator the
-// source never handed to a worker. Wire the cleanup to Exchange.OnClose
-// so partitions a cancelled or never-run exchange left untouched still
-// get their ODCIIndexClose.
-func NewIteratorQueue(its []Iterator) (MorselSource, func() error) {
-	var next atomic.Int64
-	src := func() (Iterator, error) {
-		i := next.Add(1) - 1
-		if i >= int64(len(its)) {
-			return nil, nil
-		}
-		return its[i], nil
-	}
-	cleanup := func() error {
-		start := next.Swap(int64(len(its)))
-		if start < 0 {
-			start = 0
-		}
-		var errs []error
-		for i := start; i < int64(len(its)); i++ {
-			errs = append(errs, its[i].Close())
-		}
-		return errors.Join(errs...)
-	}
-	return src, cleanup
-}
-
 // PageRanges splits a heap page list into contiguous ranges of at most
 // rangePages pages — the morsel granularity of a parallel heap scan.
 func PageRanges(pages []storage.PageID, rangePages int) [][]storage.PageID {
@@ -93,9 +42,10 @@ func PageRanges(pages []storage.PageID, rangePages int) [][]storage.PageID {
 	return out
 }
 
-// Exchange runs Workers goroutines that pull morsel pipelines from
-// Source, drain each pipeline chunk by chunk, and push the chunks into
-// a bounded channel the consuming goroutine reads through NextBatch.
+// Exchange runs Workers goroutines that take morsel pipelines from
+// Morsels in index order, drain each pipeline chunk by chunk, and push
+// the chunks into a bounded channel the consuming goroutine reads
+// through NextBatch.
 // Row order across morsels is nondeterministic; the planner keeps
 // order-sensitive operators (Sort, Limit, joins) above the exchange,
 // where they see the usual serial iterator.
@@ -105,21 +55,18 @@ func PageRanges(pages []storage.PageID, rangePages int) [][]storage.PageID {
 // morsel boundary); the consumer sees the error on its next NextBatch,
 // and once surfaced it is sticky. Close is deterministic regardless of
 // how much was consumed: it cancels the workers, drains the channel
-// until the last worker has exited, runs OnClose, and merges the
-// per-worker trace nodes into Node.
+// until the last worker has exited, closes every morsel no worker took,
+// and merges the per-worker trace nodes into Node.
 type Exchange struct {
-	// Source hands out morsel pipelines to workers (required).
-	Source MorselSource
+	// Morsels are the morsel pipelines. Each is owned (run and closed) by
+	// the worker that takes it; Close closes the ones never taken — which
+	// is what releases pre-opened scan partitions when a plan is built
+	// and closed without executing (EXPLAIN).
+	Morsels []Iterator
 	// Workers is the worker goroutine count (min 1).
 	Workers int
 	// BatchSize sizes worker-produced chunks (<=0: DefaultChunkSize).
 	BatchSize int
-	// OnClose, when set, runs once during Close after the workers have
-	// exited — the cleanup hook for morsel state the workers never
-	// pulled (see NewIteratorQueue). It runs even if the exchange never
-	// started, which is what releases pre-opened scan partitions when a
-	// plan is built and closed without executing (EXPLAIN).
-	OnClose func() error
 	// Stats, when set, receives exchange/morsel/busy counters.
 	Stats *obs.ExecStats
 	// Waits, when set, receives each worker's chunk-handoff time as
@@ -133,6 +80,7 @@ type Exchange struct {
 	// EXPLAIN ANALYZE wall times truthful under parallelism.
 	Node *obs.OpNode
 
+	next    atomic.Int64 // index of the next morsel to hand out
 	started bool
 	closed  bool
 	out     chan *Chunk
@@ -218,14 +166,11 @@ func (e *Exchange) worker(node *obs.OpNode) {
 			return
 		default:
 		}
-		it, err := e.Source()
-		if err != nil {
-			e.fail(err)
+		i := e.next.Add(1) - 1
+		if i >= int64(len(e.Morsels)) {
 			return
 		}
-		if it == nil {
-			return
-		}
+		it := e.Morsels[i]
 		node.Morsels++
 		if e.Stats != nil {
 			e.Stats.MorselDispatched()
@@ -298,9 +243,9 @@ func (e *Exchange) takeErr() error {
 }
 
 // Close implements Iterator: cancel workers, drain the channel until
-// the last worker has exited (every pulled morsel is closed by its
-// worker on the way out), release unpulled morsels via OnClose, and
-// merge worker trace nodes. Idempotent; a worker error the consumer
+// the last worker has exited (every taken morsel is closed by its
+// worker on the way out), close the morsels no worker took, and merge
+// worker trace nodes. Idempotent; a worker error the consumer
 // never observed surfaces here.
 func (e *Exchange) Close() error {
 	if e.closed {
@@ -315,9 +260,8 @@ func (e *Exchange) Close() error {
 		}
 	}
 	var errs []error
-	if e.OnClose != nil {
-		errs = append(errs, e.OnClose())
-		e.OnClose = nil
+	for i := e.next.Swap(int64(len(e.Morsels))); i < int64(len(e.Morsels)); i++ {
+		errs = append(errs, e.Morsels[i].Close())
 	}
 	if e.Node != nil && e.workerNodes != nil {
 		e.Node.Parallel = len(e.workerNodes)

@@ -59,15 +59,15 @@ func parityGroupBy() []Compiled {
 // partial aggregate) behind an Exchange, then the optional FromPartial
 // merge and the above ops as the serial gather.
 func buildParallelPlan(worker []planOp, pushAgg bool, above []planOp, base []Row, morsel, degree, batch int, stats *obs.ExecStats) Iterator {
-	morsels := splitMorsels(base, morsel)
-	src := NewMorselQueue(len(morsels), func(i int) (Iterator, error) {
-		it := stackPlanOps(worker, &Slice{Rows: morsels[i]})
+	var morsels []Iterator
+	for _, rows := range splitMorsels(base, morsel) {
+		it := stackPlanOps(worker, &Slice{Rows: rows})
 		if pushAgg {
 			it = &HashAggregate{Child: it, GroupBy: parityGroupBy(), Specs: parityAggSpecs(), Partial: true}
 		}
-		return it, nil
-	})
-	var it Iterator = &Exchange{Source: src, Workers: degree, BatchSize: batch, Stats: stats}
+		morsels = append(morsels, it)
+	}
+	var it Iterator = &Exchange{Morsels: morsels, Workers: degree, BatchSize: batch, Stats: stats}
 	if pushAgg {
 		it = &HashAggregate{Child: it, GroupBy: identityCol0(), Specs: parityAggSpecs(), FromPartial: true}
 	}
@@ -257,13 +257,12 @@ func (e *errAfter) Close() error { return nil }
 
 func TestExchangeErrorPropagation(t *testing.T) {
 	wantErr := errors.New("morsel exploded")
-	src := NewMorselQueue(4, func(i int) (Iterator, error) {
-		if i == 1 {
-			return &errAfter{rows: []Row{{types.Int(int64(i))}}, err: wantErr}, nil
-		}
-		return &Slice{Rows: []Row{{types.Int(int64(i))}}}, nil
-	})
-	ex := &Exchange{Source: src, Workers: 2}
+	morsels := make([]Iterator, 4)
+	for i := range morsels {
+		morsels[i] = &Slice{Rows: []Row{{types.Int(int64(i))}}}
+	}
+	morsels[1] = &errAfter{rows: []Row{{types.Int(1)}}, err: wantErr}
+	ex := &Exchange{Morsels: morsels, Workers: 2}
 	c := NewChunk(4)
 	var got error
 	for {
@@ -286,33 +285,6 @@ func TestExchangeErrorPropagation(t *testing.T) {
 	if err := ex.Close(); err != nil {
 		t.Fatalf("Close after surfaced error = %v, want nil", err)
 	}
-}
-
-func TestExchangeSourceError(t *testing.T) {
-	wantErr := errors.New("source broke")
-	var calls atomic.Int32
-	src := func() (Iterator, error) {
-		if calls.Add(1) == 1 {
-			return nil, wantErr
-		}
-		return nil, nil
-	}
-	ex := &Exchange{Source: src, Workers: 2}
-	c := NewChunk(4)
-	var got error
-	for {
-		if err := ex.NextBatch(c); err != nil {
-			got = err
-			break
-		}
-		if c.Len() == 0 {
-			break
-		}
-	}
-	if !errors.Is(got, wantErr) {
-		t.Fatalf("NextBatch error = %v, want %v", got, wantErr)
-	}
-	ex.Close()
 }
 
 // gatedErr fails its first NextBatch, but only once gate is closed.
@@ -340,13 +312,7 @@ func TestExchangeUnconsumedError(t *testing.T) {
 		big[i] = Row{types.Int(int64(i))}
 	}
 	gate := make(chan struct{})
-	src := NewMorselQueue(2, func(i int) (Iterator, error) {
-		if i == 0 {
-			return &gatedErr{gate: gate, err: wantErr}, nil
-		}
-		return &Slice{Rows: big}, nil
-	})
-	ex := &Exchange{Source: src, Workers: 2}
+	ex := &Exchange{Morsels: []Iterator{&gatedErr{gate: gate, err: wantErr}, &Slice{Rows: big}}, Workers: 2}
 	c := NewChunk(DefaultChunkSize)
 	if err := ex.NextBatch(c); err != nil || c.Len() == 0 {
 		t.Fatalf("first NextBatch: %d rows, err %v", c.Len(), err)
@@ -369,8 +335,7 @@ func TestExchangeEarlyCloseReleasesMorsels(t *testing.T) {
 		tracks[i] = &closeTrack{Iterator: &Slice{Rows: big}}
 		its[i] = tracks[i]
 	}
-	src, cleanup := NewIteratorQueue(its)
-	ex := &Exchange{Source: src, Workers: 3, OnClose: cleanup}
+	ex := &Exchange{Morsels: its, Workers: 3}
 	c := NewChunk(DefaultChunkSize)
 	if err := ex.NextBatch(c); err != nil {
 		t.Fatal(err)
@@ -383,7 +348,7 @@ func TestExchangeEarlyCloseReleasesMorsels(t *testing.T) {
 			t.Errorf("morsel %d never closed (pulled-or-cleanup invariant broken)", i)
 		}
 	}
-	// Close is idempotent and must not re-run OnClose.
+	// Close is idempotent and must not re-close morsels.
 	before := tracks[0].closes.Load()
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
@@ -394,7 +359,7 @@ func TestExchangeEarlyCloseReleasesMorsels(t *testing.T) {
 }
 
 // TestExchangeNeverStarted: a built-but-never-executed exchange (the
-// EXPLAIN path) must still release pre-opened morsels through OnClose.
+// EXPLAIN path) must still release pre-opened morsels through Close.
 func TestExchangeNeverStarted(t *testing.T) {
 	its := make([]Iterator, 3)
 	tracks := make([]*closeTrack, 3)
@@ -402,8 +367,7 @@ func TestExchangeNeverStarted(t *testing.T) {
 		tracks[i] = &closeTrack{Iterator: &Slice{}}
 		its[i] = tracks[i]
 	}
-	src, cleanup := NewIteratorQueue(its)
-	ex := &Exchange{Source: src, Workers: 2, OnClose: cleanup}
+	ex := &Exchange{Morsels: its, Workers: 2}
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,10 +384,11 @@ func TestExchangeWorkerNodeMerge(t *testing.T) {
 		base[i] = Row{types.Int(int64(i))}
 	}
 	node := &obs.OpNode{Desc: "SCAN"}
-	src := NewMorselQueue(5, func(i int) (Iterator, error) {
-		return &Slice{Rows: base[i*20 : (i+1)*20]}, nil
-	})
-	ex := &Exchange{Source: src, Workers: 4, Node: node}
+	parts := make([]Iterator, 5)
+	for i := range parts {
+		parts[i] = &Slice{Rows: base[i*20 : (i+1)*20]}
+	}
+	ex := &Exchange{Morsels: parts, Workers: 4, Node: node}
 	rows, err := Drain(ex)
 	if err != nil {
 		t.Fatal(err)

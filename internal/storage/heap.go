@@ -224,51 +224,71 @@ func (h *Heap) InsertAt(rid RID, row []byte) error {
 	return nil
 }
 
-// resolve follows at most one forwarding hop and returns the RID holding
-// the actual row image plus that image's payload.
-func (h *Heap) resolve(rid RID) (RID, []byte, error) {
+// resolve follows at most one forwarding hop and calls fn with the RID
+// holding the actual row image and a view of that image's payload. The
+// view aliases the pinned page: it is valid until fn returns.
+func (h *Heap) resolve(rid RID, fn func(home RID, img []byte) error) error {
 	pg, err := h.pager.Fetch(rid.Page)
 	if err != nil {
-		return NilRID, nil, err
+		return err
 	}
 	rec, err := pageRead(pg.Data, int(rid.Slot))
-	if err != nil || rec == nil {
+	if err == nil && rec == nil {
+		err = fmt.Errorf("storage: no row at %s", rid)
+	}
+	if err != nil {
 		h.pager.Unpin(pg, false)
-		if err == nil {
-			err = fmt.Errorf("storage: no row at %s", rid)
-		}
-		return NilRID, nil, err
+		return err
 	}
 	if rec[0] == recForward {
-		target := RID{
-			Page: PageID(binary.BigEndian.Uint32(rec[1:5])),
-			Slot: binary.BigEndian.Uint16(rec[5:7]),
-		}
+		target := forwardTarget(rec)
 		h.pager.Unpin(pg, false)
-		tp, err := h.pager.Fetch(target.Page)
-		if err != nil {
-			return NilRID, nil, err
-		}
-		trec, err := pageRead(tp.Data, int(target.Slot))
-		if err != nil || trec == nil || trec[0] != recRelocated {
-			h.pager.Unpin(tp, false)
-			if err == nil {
-				err = fmt.Errorf("storage: dangling forward at %s", rid)
-			}
-			return NilRID, nil, err
-		}
-		out := append([]byte(nil), trec[1:]...)
-		h.pager.Unpin(tp, false)
-		return target, out, nil
+		return h.visitRelocated(rid, target, fn)
 	}
-	out := append([]byte(nil), rec[1:]...)
+	err = fn(rid, rec[1:])
 	h.pager.Unpin(pg, false)
-	return rid, out, nil
+	return err
+}
+
+// forwardTarget decodes the relocation RID a forwarding stub points at.
+func forwardTarget(stub []byte) RID {
+	return RID{
+		Page: PageID(binary.BigEndian.Uint32(stub[1:5])),
+		Slot: binary.BigEndian.Uint16(stub[5:7]),
+	}
+}
+
+// visitRelocated calls fn with the relocated image the forwarding stub
+// at rid points to (target), pinning target's page for the call.
+func (h *Heap) visitRelocated(rid, target RID, fn func(home RID, img []byte) error) error {
+	tp, err := h.pager.Fetch(target.Page)
+	if err != nil {
+		return err
+	}
+	trec, err := pageRead(tp.Data, int(target.Slot))
+	if err == nil && (trec == nil || trec[0] != recRelocated) {
+		err = fmt.Errorf("storage: dangling forward at %s", rid)
+	}
+	if err == nil {
+		err = fn(target, trec[1:])
+	}
+	h.pager.Unpin(tp, false)
+	return err
+}
+
+// home returns the RID holding rid's row image: rid itself, or the
+// relocation target of its forwarding stub.
+func (h *Heap) home(rid RID) (home RID, err error) {
+	err = h.resolve(rid, func(at RID, _ []byte) error { home = at; return nil })
+	return home, err
 }
 
 // Get returns a copy of the row image at rid.
-func (h *Heap) Get(rid RID) ([]byte, error) {
-	_, row, err := h.resolve(rid)
+func (h *Heap) Get(rid RID) (row []byte, err error) {
+	err = h.resolve(rid, func(_ RID, img []byte) error {
+		row = append([]byte(nil), img...)
+		return nil
+	})
 	return row, err
 }
 
@@ -278,9 +298,7 @@ func (h *Heap) Get(rid RID) ([]byte, error) {
 // pinned once per run of RIDs on it instead of once per row; fn is
 // therefore invoked in page order, not input order — callers restore
 // input order by writing into slot i. The image passed to fn is only
-// valid for the duration of the call (it may alias the pinned page).
-// Forwarded rows are resolved after their home page is unpinned, since
-// the hop pins the target page itself.
+// valid for the duration of the call (it aliases a pinned page).
 func (h *Heap) GetBatchFunc(rids []RID, fn func(i int, img []byte) error) error {
 	if len(rids) == 0 {
 		return nil
@@ -296,7 +314,6 @@ func (h *Heap) GetBatchFunc(rids []RID, fn func(i int, img []byte) error) error 
 		}
 		return ra.Slot < rb.Slot
 	})
-	var forwards []int
 	for k := 0; k < len(perm); {
 		page := rids[perm[k]].Page
 		pg, err := h.pager.Fetch(page)
@@ -307,32 +324,21 @@ func (h *Heap) GetBatchFunc(rids []RID, fn func(i int, img []byte) error) error 
 			i := perm[k]
 			rid := rids[i]
 			rec, err := pageRead(pg.Data, int(rid.Slot))
-			if err == nil && rec == nil {
+			switch {
+			case err != nil:
+			case rec == nil:
 				err = fmt.Errorf("storage: no row at %s", rid)
+			case rec[0] == recForward:
+				err = h.visitRelocated(rid, forwardTarget(rec), func(_ RID, img []byte) error { return fn(i, img) })
+			default:
+				err = fn(i, rec[1:])
 			}
 			if err != nil {
 				h.pager.Unpin(pg, false)
 				return err
 			}
-			if rec[0] == recForward {
-				forwards = append(forwards, i)
-				continue
-			}
-			if err := fn(i, rec[1:]); err != nil {
-				h.pager.Unpin(pg, false)
-				return err
-			}
 		}
 		h.pager.Unpin(pg, false)
-	}
-	for _, i := range forwards {
-		_, img, err := h.resolve(rids[i])
-		if err != nil {
-			return err
-		}
-		if err := fn(i, img); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -353,7 +359,7 @@ func (h *Heap) GetBatch(rids []RID) ([][]byte, error) {
 
 // Delete removes the row at rid (following forwarding).
 func (h *Heap) Delete(rid RID) error {
-	home, _, err := h.resolve(rid)
+	home, err := h.home(rid)
 	if err != nil {
 		return err
 	}
@@ -385,7 +391,7 @@ func (h *Heap) clearSlot(rid RID) error {
 // image does not fit where the row lives, the row is relocated and a
 // forwarding stub is left at the original RID.
 func (h *Heap) Update(rid RID, row []byte) error {
-	home, _, err := h.resolve(rid)
+	home, err := h.home(rid)
 	if err != nil {
 		return err
 	}
@@ -445,8 +451,9 @@ func (h *Heap) Update(rid RID, row []byte) error {
 }
 
 // Scan calls fn for every row in the heap in physical order, passing the
-// row's canonical RID and a copy of its image. fn returning false stops
-// the scan early.
+// row's canonical RID and a view of its image. The view aliases the
+// pinned page and is valid until fn returns: copy what you keep. fn must
+// not modify the heap it scans. fn returning false stops the scan early.
 func (h *Heap) Scan(fn func(rid RID, row []byte) (bool, error)) error {
 	return h.ScanPages(h.pages, fn)
 }
@@ -462,56 +469,53 @@ func (h *Heap) PageList() []PageID {
 }
 
 // ScanPages is Scan restricted to the given pages (each must belong to
-// this heap). Concurrent ScanPages calls over disjoint ranges are safe:
-// the scan only reads, and page pins are mediated by the pager.
+// this heap), under the same contract: the image is valid until fn
+// returns, and fn must not modify the heap it scans. Each page is one
+// pass — pin, walk the slots calling fn (a forwarded row's image is read
+// from its relocation target, pinned for the call), unpin. Concurrent
+// ScanPages calls over disjoint ranges are safe: the scan only reads,
+// and page pins are mediated by the pager.
 func (h *Heap) ScanPages(pages []PageID, fn func(rid RID, row []byte) (bool, error)) error {
 	for _, id := range pages {
 		pg, err := h.pager.Fetch(id)
 		if err != nil {
 			return err
 		}
-		n := pageNSlots(pg.Data)
-		type item struct {
-			rid RID
-			row []byte
-		}
-		var items []item
-		for s := 0; s < n; s++ {
-			rec, err := pageRead(pg.Data, s)
-			if err != nil {
-				h.pager.Unpin(pg, false)
-				return err
-			}
-			if rec == nil || rec[0] == recRelocated {
-				continue // relocated copies are reported via their stub
-			}
-			rid := RID{Page: id, Slot: uint16(s)}
-			if rec[0] == recForward {
-				items = append(items, item{rid: rid, row: nil})
-				continue
-			}
-			items = append(items, item{rid: rid, row: append([]byte(nil), rec[1:]...)})
-		}
+		keep, err := h.scanPage(pg, fn)
 		h.pager.Unpin(pg, false)
-		for _, it := range items {
-			row := it.row
-			if row == nil {
-				var err error
-				_, row, err = h.resolve(it.rid)
-				if err != nil {
-					return err
-				}
-			}
-			keep, err := fn(it.rid, row)
-			if err != nil {
-				return err
-			}
-			if !keep {
-				return nil
-			}
+		if err != nil || !keep {
+			return err
 		}
 	}
 	return nil
+}
+
+// scanPage calls fn for every live row whose canonical slot is on the
+// pinned page pg, reporting whether fn asked to continue.
+func (h *Heap) scanPage(pg *Page, fn func(rid RID, row []byte) (bool, error)) (bool, error) {
+	for s, n := 0, pageNSlots(pg.Data); s < n; s++ {
+		rec, err := pageRead(pg.Data, s)
+		if err != nil {
+			return false, err
+		}
+		if rec == nil || rec[0] == recRelocated {
+			continue // relocated copies are reported via their stub
+		}
+		rid := RID{Page: pg.ID, Slot: uint16(s)}
+		keep := true
+		if rec[0] == recForward {
+			err = h.visitRelocated(rid, forwardTarget(rec), func(_ RID, img []byte) (ferr error) {
+				keep, ferr = fn(rid, img)
+				return ferr
+			})
+		} else {
+			keep, err = fn(rid, rec[1:])
+		}
+		if err != nil || !keep {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // Count returns the number of live rows (forward stubs count once).

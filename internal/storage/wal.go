@@ -440,7 +440,8 @@ func (w *WAL) Sync() error {
 // commit cost no fsync of its own). A failed fsync poisons the whole
 // batch: every waiter (and every later caller) gets the error, because
 // none of their records are known durable; the engine then marks the
-// WAL broken and truncates the suspect tail.
+// WAL broken and truncates the suspect tail. A target the log no longer
+// reaches (another committer's failure cut the batch) is an error too.
 func (w *WAL) SyncShared(target int64) error {
 	// The whole call is one WaitWALGroupFsync interval: a leader's time
 	// is its fsync, a follower's is the wait for a covering epoch —
@@ -455,6 +456,11 @@ func (w *WAL) SyncShared(target int64) error {
 		}
 		if w.synced >= target {
 			return nil // covered by a leader's fsync (or already durable)
+		}
+		if w.size < target {
+			// TruncateToSynced (another committer's failure) cut the
+			// caller's batch: no fsync can make it durable any more.
+			return fmt.Errorf("storage: wal truncated to %d bytes below commit target %d", w.size, target)
 		}
 		if !w.syncing {
 			break // become the leader for the next epoch

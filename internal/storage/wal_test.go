@@ -139,6 +139,23 @@ func TestWALTruncateToSynced(t *testing.T) {
 	}
 }
 
+// TestWALSyncSharedAfterTruncation: a committer whose batch was cut by
+// another committer's TruncateToSynced before it synced must not be told
+// its commit is durable.
+func TestWALSyncSharedAfterTruncation(t *testing.T) {
+	w := NewWAL(NewMemWALSink(), 0, 0)
+	if err := w.AppendCommit(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	target := w.LogSize()
+	if err := w.TruncateToSynced(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SyncShared(target); err == nil {
+		t.Fatalf("SyncShared(%d) on a log truncated to %d returned nil", target, w.LogSize())
+	}
+}
+
 // TestWALSinkTruncateBounds pins MemWALSink.Truncate's contract.
 func TestWALSinkTruncateBounds(t *testing.T) {
 	sink := NewMemWALSink()

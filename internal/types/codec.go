@@ -73,7 +73,8 @@ func DecodeRow(src []byte) ([]Value, int, error) {
 		return nil, 0, fmt.Errorf("types: implausible column count %d", n)
 	}
 	off := sz
-	row := make([]Value, n)
+	// One spare slot: scans append the ROWID pseudo-column in place.
+	row := make([]Value, n, n+1)
 	for i := range row {
 		v, consumed, err := decodeValue(src[off:])
 		if err != nil {
