@@ -282,46 +282,24 @@ func (s *Session) insertRow(tbl *catalog.Table, row []types.Value, t *txn.Txn) e
 	})
 }
 
-// matchTargets runs the WHERE clause over the table and returns matching
-// (rid, row) pairs. Updates and deletes materialize their target list
-// before mutating, so the scan is stable.
-func (s *Session) matchTargets(tbl *catalog.Table, where sql.Expr, params []types.Value) ([]storage.RID, [][]types.Value, error) {
-	schema := &exec.Schema{}
-	for _, c := range tbl.Cols {
-		schema.Cols = append(schema.Cols, exec.SchemaCol{Qualifier: tbl.Name, Name: c.Name})
+// dmlTargets finds the rows an UPDATE or DELETE on table acts on through
+// the same access-path chooser a SELECT uses (choosePath over ROWID,
+// B-tree, hash, bitmap, DOMAIN and FULL, residual conjuncts filtered
+// above), always serially. The target rows, each carrying its ROWID
+// last, are drained and the access closed before the statement mutates
+// anything, so an index-driven UPDATE of the indexed column never meets
+// its own writes (the Halloween problem).
+func (s *Session) dmlTargets(table string, where sql.Expr, params []types.Value) (*tableBinding, []exec.Row, error) {
+	tb, err := s.bindTable(sql.TableRef{Name: table})
+	if err != nil {
+		return nil, nil, err
 	}
-	schema.Cols = append(schema.Cols, exec.SchemaCol{Qualifier: tbl.Name, Name: exec.RowIDColumn})
-	var pred exec.Compiled
-	if where != nil {
-		var err error
-		pred, err = exec.Compile(where, schema, s, params)
-		if err != nil {
-			return nil, nil, err
-		}
+	it, _, err := s.buildTableAccess(tb, splitConjuncts(where), params)
+	if err != nil {
+		return nil, nil, err
 	}
-	var rids []storage.RID
-	var rows [][]types.Value
-	var full []types.Value // row + ROWID for the predicate, reused across rows
-	err := tbl.Heap.Scan(func(rid storage.RID, img []byte) (bool, error) {
-		row, _, err := types.DecodeRow(img)
-		if err != nil {
-			return false, err
-		}
-		if pred != nil {
-			full = append(append(full[:0], row...), types.Int(rid.Int64()))
-			v, err := pred(full)
-			if err != nil {
-				return false, err
-			}
-			if !exec.Truthy(v) {
-				return true, nil
-			}
-		}
-		rids = append(rids, rid)
-		rows = append(rows, row)
-		return true, nil
-	})
-	return rids, rows, err
+	targets, err := exec.Drain(it)
+	return tb, targets, err
 }
 
 func (s *Session) execUpdate(x *sql.Update, params []types.Value) (Result, error) {
@@ -329,44 +307,36 @@ func (s *Session) execUpdate(x *sql.Update, params []types.Value) (Result, error
 	defer release()
 	unlock := s.lockTables(nil, []string{x.Table})
 	defer unlock()
-	tbl, ok := s.db.cat.Table(x.Table)
-	if !ok {
-		return Result{}, fmt.Errorf("engine: table %s does not exist", x.Table)
+	tb, targets, err := s.dmlTargets(x.Table, x.Where, params)
+	if err != nil {
+		return Result{}, err
 	}
+	tbl := tb.tbl
 	setPos := make([]int, len(x.Cols))
+	touched := make(map[int]bool, len(x.Cols))
 	for i, cn := range x.Cols {
 		p := tbl.ColIndex(cn)
 		if p < 0 {
 			return Result{}, fmt.Errorf("engine: column %s does not exist in %s", cn, x.Table)
 		}
 		setPos[i] = p
+		touched[p] = true
 	}
-	schema := &exec.Schema{}
-	for _, c := range tbl.Cols {
-		schema.Cols = append(schema.Cols, exec.SchemaCol{Qualifier: tbl.Name, Name: c.Name})
-	}
-	schema.Cols = append(schema.Cols, exec.SchemaCol{Qualifier: tbl.Name, Name: exec.RowIDColumn})
 	setExprs := make([]exec.Compiled, len(x.Exprs))
 	for i, e := range x.Exprs {
-		c, err := exec.Compile(e, schema, s, params)
+		c, err := exec.Compile(e, tb.schema, s, params)
 		if err != nil {
 			return Result{}, err
 		}
 		setExprs[i] = c
 	}
 
-	rids, rows, err := s.matchTargets(tbl, x.Where, params)
-	if err != nil {
-		return Result{}, err
-	}
 	t, finish := s.begin()
 	var updated int64
 	err = s.runWrite(t, finish, tbl.Name, func() error {
-		for i, rid := range rids {
-			oldRow := rows[i]
-			full := append(append([]types.Value(nil), oldRow...), types.Int(rid.Int64()))
+		for _, full := range targets {
+			oldRow, rid := full[:len(full)-1], storage.RIDFromInt64(full[len(full)-1].Int64())
 			newRow := append([]types.Value(nil), oldRow...)
-			touched := map[int]bool{}
 			for j, ce := range setExprs {
 				v, err := ce(full)
 				if err != nil {
@@ -377,7 +347,6 @@ func (s *Session) execUpdate(x *sql.Update, params []types.Value) (Result, error
 					return err
 				}
 				newRow[p] = v
-				touched[p] = true
 			}
 			// Maintain built-in indexes on touched columns.
 			for _, ix := range s.db.cat.TableIndexes(tbl.Name) {
@@ -400,7 +369,6 @@ func (s *Session) execUpdate(x *sql.Update, params []types.Value) (Result, error
 			if err := heap.Update(rid, types.EncodeRow(nil, newRow)); err != nil {
 				return err
 			}
-			rid := rid
 			t.Record(txn.UndoFunc(func() error { return heap.Update(rid, oldImg) }))
 			// Domain index maintenance with old and new values.
 			err := s.maintainDomain(tbl, func(m extidx.IndexMethods, srv extidx.Server, info extidx.IndexInfo, ix *catalog.Index) error {
@@ -430,19 +398,16 @@ func (s *Session) execDelete(x *sql.Delete, params []types.Value) (Result, error
 	defer release()
 	unlock := s.lockTables(nil, []string{x.Table})
 	defer unlock()
-	tbl, ok := s.db.cat.Table(x.Table)
-	if !ok {
-		return Result{}, fmt.Errorf("engine: table %s does not exist", x.Table)
-	}
-	rids, rows, err := s.matchTargets(tbl, x.Where, params)
+	tb, targets, err := s.dmlTargets(x.Table, x.Where, params)
 	if err != nil {
 		return Result{}, err
 	}
+	tbl := tb.tbl
 	t, finish := s.begin()
 	var deleted int64
 	err = s.runWrite(t, finish, tbl.Name, func() error {
-		for i, rid := range rids {
-			oldRow := rows[i]
+		for _, full := range targets {
+			oldRow, rid := full[:len(full)-1], storage.RIDFromInt64(full[len(full)-1].Int64())
 			for _, ix := range s.db.cat.TableIndexes(tbl.Name) {
 				if ix.Kind == catalog.DomainIndex {
 					continue
@@ -456,7 +421,6 @@ func (s *Session) execDelete(x *sql.Delete, params []types.Value) (Result, error
 			if err := heap.Delete(rid); err != nil {
 				return err
 			}
-			rid := rid
 			t.Record(txn.UndoFunc(func() error {
 				tbl.RowCount++
 				return heap.InsertAt(rid, oldImg)

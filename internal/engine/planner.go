@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -23,8 +24,9 @@ const (
 	ForceIndexScan  = "INDEX"
 )
 
-// ForcedPath overrides the optimizer's access-path choice for single-table
-// queries, like an Oracle hint. Empty string restores cost-based choice.
+// SetForcedPath overrides the optimizer's access-path choice, like an
+// Oracle hint: for a single-table query's table and for the rows an
+// UPDATE or DELETE targets. Empty string restores cost-based choice.
 func (s *Session) SetForcedPath(p string) { s.forced = p }
 
 // splitConjuncts flattens the AND tree of a WHERE clause.
@@ -91,7 +93,10 @@ type sargInfo struct {
 }
 
 // classifySarg recognizes col-relop-const and BETWEEN forms on the given
-// table binding.
+// table binding. A comparison with NULL is never true, so a NULL constant
+// or bound is not sargable: the conjunct stays a filter and matches
+// nothing, where an index probe on it would read the index's NULL keys
+// (or, for = NULL, an unbounded range).
 func (s *Session) classifySarg(e sql.Expr, tb *tableBinding, params []types.Value) (sargInfo, bool) {
 	flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 	if bt, ok := e.(sql.Between); ok && !bt.Not {
@@ -101,7 +106,7 @@ func (s *Session) classifySarg(e sql.Expr, tb *tableBinding, params []types.Valu
 		}
 		lo, ok1 := s.constEval(bt.Lo, params)
 		hi, ok2 := s.constEval(bt.Hi, params)
-		if !ok1 || !ok2 {
+		if !ok1 || !ok2 || lo.IsNull() || hi.IsNull() {
 			return sargInfo{}, false
 		}
 		return sargInfo{colName: cr.Name, op: "BETWEEN", loValue: lo, hiValue: hi, isRange2: true}, true
@@ -115,12 +120,12 @@ func (s *Session) classifySarg(e sql.Expr, tb *tableBinding, params []types.Valu
 		return sargInfo{}, false
 	}
 	if cr, ok := b.L.(sql.ColumnRef); ok && s.refOnTable(cr, tb) {
-		if v, cok := s.constEval(b.R, params); cok {
+		if v, cok := s.constEval(b.R, params); cok && !v.IsNull() {
 			return sargInfo{colName: cr.Name, op: op, value: v}, true
 		}
 	}
 	if cr, ok := b.R.(sql.ColumnRef); ok && s.refOnTable(cr, tb) {
-		if v, cok := s.constEval(b.L, params); cok {
+		if v, cok := s.constEval(b.L, params); cok && !v.IsNull() {
 			return sargInfo{colName: cr.Name, op: flip[op], value: v}, true
 		}
 	}
@@ -424,6 +429,12 @@ func (s *Session) builtinIndexPaths(tb *tableBinding, conjuncts []sql.Expr, para
 	return out
 }
 
+// buildBTreeScan fetches the rows whose key lies in sg's range. A NULL
+// lo or hi here means that side is unbounded (classifySarg passes no
+// NULL constant). Keys of every kind share the tree, ordered by their
+// leading kind tag with NULL (0xFF) last, while SQL comparison across
+// kinds or with NULL is never true, so the scan stays inside its
+// bounds' tag: an open range never reaches another kind or the NULLs.
 func (s *Session) buildBTreeScan(tb *tableBinding, ix *catalog.Index, sg sargInfo) (exec.Iterator, error) {
 	var rids []int64
 	emit := func(val []byte) error {
@@ -450,23 +461,38 @@ func (s *Session) buildBTreeScan(tb *tableBinding, ix *catalog.Index, sg sargInf
 	case ">=":
 		lo = sg.value
 	}
-	var start []byte
+	var loKey, hiKey []byte
 	if !lo.IsNull() {
-		start = types.EncodeKey(nil, lo)
+		loKey = types.EncodeKey(nil, lo)
+	}
+	if !hi.IsNull() {
+		hiKey = types.EncodeKey(nil, hi)
+	}
+	var tag byte
+	switch {
+	case loKey != nil && hiKey != nil && loKey[0] != hiKey[0], loKey == nil && hiKey == nil:
+		return &exec.Slice{}, nil
+	case loKey != nil:
+		tag = loKey[0]
+	default:
+		tag = hiKey[0]
+	}
+	start := loKey
+	if start == nil {
+		start = []byte{tag}
 	}
 	for it := ix.BT.Seek(start); it.Valid(); it.Next() {
 		// Decode the column-value prefix by comparing against bounds; keys
 		// are orderable byte strings, so bound checks work on prefixes.
 		key := it.Key()
-		if !lo.IsNull() && loOpen {
-			pfx := types.EncodeKey(nil, lo)
-			if len(key) >= len(pfx) && bytesEqual(key[:len(pfx)], pfx) {
-				continue
-			}
+		if key[0] != tag {
+			break
 		}
-		if !hi.IsNull() {
-			pfx := types.EncodeKey(nil, hi)
-			cmp := bytesCompare(keyPrefix(key, len(pfx)), pfx)
+		if loOpen && bytes.HasPrefix(key, loKey) {
+			continue
+		}
+		if hiKey != nil {
+			cmp := bytes.Compare(keyPrefix(key, len(hiKey)), hiKey)
 			if cmp > 0 || (hiOpen && cmp == 0) {
 				break
 			}
@@ -483,30 +509,6 @@ func keyPrefix(key []byte, n int) []byte {
 		return key
 	}
 	return key[:n]
-}
-
-func bytesEqual(a, b []byte) bool { return bytesCompare(a, b) == 0 }
-
-func bytesCompare(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 func (s *Session) buildHashScan(tb *tableBinding, ix *catalog.Index, sg sargInfo) (exec.Iterator, error) {
@@ -717,8 +719,9 @@ func (s *Session) choosePath(tb *tableBinding, conjuncts []sql.Expr, params []ty
 
 // buildTableAccess assembles the iterator for one table: chosen access
 // path plus residual filters, returning also the chosen path for EXPLAIN.
-// Always serial — joins use it; the single-table SELECT
-// branch goes through buildParallelTableAccess instead.
+// Always serial — joins and UPDATE/DELETE target selection use it; the
+// single-table SELECT branch goes through buildParallelTableAccess
+// instead.
 func (s *Session) buildTableAccess(tb *tableBinding, conjuncts []sql.Expr, params []types.Value) (exec.Iterator, accessPath, error) {
 	path := s.choosePath(tb, conjuncts, params)
 	it, err := s.assembleSerialAccess(tb, path, conjuncts, params)
@@ -1116,7 +1119,13 @@ func (s *Session) planJoin(tbs []*tableBinding, conjuncts []sql.Expr, params []t
 	return it, curSchema, descs, nil
 }
 
+// buildIndexEqLookup probes ix for one outer row's join key. A NULL key
+// equals nothing, and must not reach the probe: the index holds NULL
+// keys, and to buildBTreeScan a NULL bound means "unbounded".
 func (s *Session) buildIndexEqLookup(tb *tableBinding, ix *catalog.Index, v types.Value) (exec.Iterator, error) {
+	if v.IsNull() {
+		return &exec.Slice{}, nil
+	}
 	sg := sargInfo{colName: ix.Column, op: "=", value: v}
 	switch ix.Kind {
 	case catalog.BTreeIndex:

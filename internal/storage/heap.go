@@ -226,14 +226,16 @@ func (h *Heap) InsertAt(rid RID, row []byte) error {
 
 // resolve follows at most one forwarding hop and calls fn with the RID
 // holding the actual row image and a view of that image's payload. The
-// view aliases the pinned page: it is valid until fn returns.
+// view aliases the pinned page: it is valid until fn returns. A relocated
+// copy is not a row at its own RID (its row is named by the stub), so a
+// stale RID whose slot now holds one resolves to no row.
 func (h *Heap) resolve(rid RID, fn func(home RID, img []byte) error) error {
 	pg, err := h.pager.Fetch(rid.Page)
 	if err != nil {
 		return err
 	}
 	rec, err := pageRead(pg.Data, int(rid.Slot))
-	if err == nil && rec == nil {
+	if err == nil && (rec == nil || rec[0] == recRelocated) {
 		err = fmt.Errorf("storage: no row at %s", rid)
 	}
 	if err != nil {
@@ -326,7 +328,7 @@ func (h *Heap) GetBatchFunc(rids []RID, fn func(i int, img []byte) error) error 
 			rec, err := pageRead(pg.Data, int(rid.Slot))
 			switch {
 			case err != nil:
-			case rec == nil:
+			case rec == nil || rec[0] == recRelocated:
 				err = fmt.Errorf("storage: no row at %s", rid)
 			case rec[0] == recForward:
 				err = h.visitRelocated(rid, forwardTarget(rec), func(_ RID, img []byte) error { return fn(i, img) })

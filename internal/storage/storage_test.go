@@ -345,6 +345,44 @@ func TestHeapUpdateInPlaceAndForwarded(t *testing.T) {
 	}
 }
 
+// TestHeapRelocatedSlotIsNoRow: the slot holding a forwarded row's
+// relocated copy is not a row of its own. A RID naming it — a stale RID
+// whose slot was reused for the copy — must read, update and delete
+// nothing, and leave the forwarded row intact.
+func TestHeapRelocatedSlotIsNoRow(t *testing.T) {
+	p := newTestPager(t, 64)
+	h, _ := CreateHeap(p)
+	rid, _ := h.Insert([]byte("short"))
+	for i := 0; i < 100; i++ {
+		if _, err := h.Insert(bytes.Repeat([]byte("f"), 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := bytes.Repeat([]byte("G"), 7000)
+	if err := h.Update(rid, big); err != nil {
+		t.Fatal(err)
+	}
+	copyAt, err := h.home(rid)
+	if err != nil || copyAt == rid {
+		t.Fatalf("home(%v) = %v, %v; want the relocation target", rid, copyAt, err)
+	}
+	if _, err := h.Get(copyAt); err == nil {
+		t.Error("Get on the relocated copy's slot returned a row")
+	}
+	if _, err := h.GetBatch([]RID{copyAt}); err == nil {
+		t.Error("GetBatch on the relocated copy's slot returned a row")
+	}
+	if err := h.Update(copyAt, []byte("clobber")); err == nil {
+		t.Error("Update on the relocated copy's slot succeeded")
+	}
+	if err := h.Delete(copyAt); err == nil {
+		t.Error("Delete on the relocated copy's slot succeeded")
+	}
+	if got, err := h.Get(rid); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("forwarded row after the stale-RID calls: len %d err %v", len(got), err)
+	}
+}
+
 func TestHeapGetBatch(t *testing.T) {
 	p := newTestPager(t, 64)
 	h, _ := CreateHeap(p)
