@@ -47,5 +47,8 @@ fuzz:
 ## check: everything CI runs except the fuzz smoke
 check: build vet lint test race crash
 
+## bench: the root package's benchmarks, then the larger-than-cache
+## full-scan query shapes (allocations per query reported)
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench=BenchmarkFullScan -benchmem ./internal/engine

@@ -101,7 +101,7 @@ func (s *Session) buildParallelTableAccess(tb *tableBinding, conjuncts []sql.Exp
 	case path.parHeap != nil:
 		pages := path.parHeap.PageList()
 		for _, r := range exec.PageRanges(pages, morselPages(len(pages), degree)) {
-			morsels = append(morsels, wrap(exec.NewHeapScan(path.parHeap, r)))
+			morsels = append(morsels, wrap(tb.heapScan(r)))
 		}
 	case path.parDom != nil:
 		d := path.parDom
@@ -120,6 +120,7 @@ func (s *Session) buildParallelTableAccess(tb *tableBinding, conjuncts []sql.Exp
 				Info:       d.info,
 				Call:       d.call,
 				Heap:       d.heap,
+				Cols:       tb.cols,
 				BatchSize:  d.batch,
 				Pre:        p,
 				PreStarted: true,

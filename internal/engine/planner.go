@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -60,6 +61,106 @@ type tableBinding struct {
 	tbl    *catalog.Table
 	schema *exec.Schema
 	alias  string // effective qualifier
+	// cols marks the table columns the statement reads; the heap-row
+	// producers built for this binding decode only those and leave the
+	// rest NULL. nil decodes every column, which is what DML target
+	// selection keeps: UPDATE and index maintenance need whole rows.
+	cols []bool
+}
+
+// heapScan returns a scan of pages of the binding's table.
+func (tb *tableBinding) heapScan(pages []storage.PageID) *exec.HeapScan {
+	scan := exec.NewHeapScan(tb.tbl.Heap, pages)
+	scan.Cols = tb.cols
+	return scan
+}
+
+// fetch returns the table-access stage reading rids from the binding's
+// table.
+func (tb *tableBinding) fetch(rids []int64) *exec.RIDFetch {
+	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids), Cols: tb.cols}
+}
+
+// markReadColumns sets each binding's cols to the table columns sel
+// reads: every column reference in its items, WHERE, GROUP BY, HAVING
+// and ORDER BY that resolves in that binding (ROWID is never decoded,
+// so it needs no mark). A bare * marks everything, t.* everything of
+// t, and a reference that resolves in no binding marks everything
+// everywhere, because over-marking is always safe. An ORDER BY name
+// that matches an item's output name reads that item, which is marked
+// already. A binding left reading every column gets nil.
+func (s *Session) markReadColumns(tbs []*tableBinding, sel *sql.Select) {
+	if s.decodeAll {
+		return
+	}
+	for _, tb := range tbs {
+		tb.cols = make([]bool, len(tb.tbl.Cols))
+	}
+	all := false
+	markAll := func(tb *tableBinding) {
+		for i := range tb.cols {
+			tb.cols[i] = true
+		}
+	}
+	mark := func(e sql.Expr) {
+		sql.Walk(e, func(x sql.Expr) bool {
+			cr, ok := x.(sql.ColumnRef)
+			if !ok {
+				return true
+			}
+			resolved := false
+			for _, tb := range tbs {
+				if i, err := tb.schema.Resolve(cr.Table, cr.Name); err == nil {
+					resolved = true
+					if i < len(tb.cols) {
+						tb.cols[i] = true
+					}
+				}
+			}
+			all = all || !resolved
+			return true
+		})
+	}
+	for _, item := range sel.Items {
+		if !item.Star {
+			mark(item.Expr)
+			continue
+		}
+		matched := false
+		for _, tb := range tbs {
+			if item.Table == "" || strings.EqualFold(item.Table, tb.alias) {
+				markAll(tb)
+				matched = true
+			}
+		}
+		all = all || !matched
+	}
+	mark(sel.Where)
+	for _, g := range sel.GroupBy {
+		mark(g)
+	}
+	mark(sel.Having)
+	for _, oi := range sel.OrderBy {
+		if cr, ok := oi.Expr.(sql.ColumnRef); !ok || cr.Table != "" || !isItemName(sel, cr.Name) {
+			mark(oi.Expr)
+		}
+	}
+	for _, tb := range tbs {
+		if all || !slices.Contains(tb.cols, false) {
+			tb.cols = nil
+		}
+	}
+}
+
+// isItemName reports whether name is the output name of one of sel's
+// non-star items, which an unqualified ORDER BY name refers to first.
+func isItemName(sel *sql.Select, name string) bool {
+	for i, item := range sel.Items {
+		if !item.Star && strings.EqualFold(itemName(item, i), name) {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Session) bindTable(ref sql.TableRef) (*tableBinding, error) {
@@ -96,9 +197,19 @@ type sargInfo struct {
 // table binding. A comparison with NULL is never true, so a NULL constant
 // or bound is not sargable: the conjunct stays a filter and matches
 // nothing, where an index probe on it would read the index's NULL keys
-// (or, for = NULL, an unbounded range).
+// (or, for = NULL, an unbounded range). Nor is a constant of another kind
+// than the column's: the filter compares BOOLEAN with NUMBER through
+// types.CoerceKind (so boolcol = 1 finds the TRUE rows), while index keys
+// of different kinds never meet.
 func (s *Session) classifySarg(e sql.Expr, tb *tableBinding, params []types.Value) (sargInfo, bool) {
 	flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+	probeable := func(cr sql.ColumnRef, v types.Value) bool {
+		if v.IsNull() {
+			return false
+		}
+		i := tb.tbl.ColIndex(cr.Name)
+		return i < 0 || tb.tbl.Cols[i].Kind == v.Kind() // i < 0: ROWID
+	}
 	if bt, ok := e.(sql.Between); ok && !bt.Not {
 		cr, ok := bt.X.(sql.ColumnRef)
 		if !ok || !s.refOnTable(cr, tb) {
@@ -106,7 +217,7 @@ func (s *Session) classifySarg(e sql.Expr, tb *tableBinding, params []types.Valu
 		}
 		lo, ok1 := s.constEval(bt.Lo, params)
 		hi, ok2 := s.constEval(bt.Hi, params)
-		if !ok1 || !ok2 || lo.IsNull() || hi.IsNull() {
+		if !ok1 || !ok2 || !probeable(cr, lo) || !probeable(cr, hi) {
 			return sargInfo{}, false
 		}
 		return sargInfo{colName: cr.Name, op: "BETWEEN", loValue: lo, hiValue: hi, isRange2: true}, true
@@ -120,12 +231,12 @@ func (s *Session) classifySarg(e sql.Expr, tb *tableBinding, params []types.Valu
 		return sargInfo{}, false
 	}
 	if cr, ok := b.L.(sql.ColumnRef); ok && s.refOnTable(cr, tb) {
-		if v, cok := s.constEval(b.R, params); cok && !v.IsNull() {
+		if v, cok := s.constEval(b.R, params); cok && probeable(cr, v) {
 			return sargInfo{colName: cr.Name, op: op, value: v}, true
 		}
 	}
 	if cr, ok := b.R.(sql.ColumnRef); ok && s.refOnTable(cr, tb) {
-		if v, cok := s.constEval(b.L, params); cok && !v.IsNull() {
+		if v, cok := s.constEval(b.L, params); cok && probeable(cr, v) {
 			return sargInfo{colName: cr.Name, op: flip[op], value: v}, true
 		}
 	}
@@ -289,7 +400,7 @@ func (s *Session) fullScanPath(tb *tableBinding) accessPath {
 		consumed: -1,
 		parHeap:  tb.tbl.Heap,
 		build: func() (exec.Iterator, error) {
-			return exec.NewHeapScan(tb.tbl.Heap, tb.tbl.Heap.PageList()), nil
+			return tb.heapScan(tb.tbl.Heap.PageList()), nil
 		},
 	}
 }
@@ -437,12 +548,12 @@ func (s *Session) builtinIndexPaths(tb *tableBinding, conjuncts []sql.Expr, para
 // bounds' tag: an open range never reaches another kind or the NULLs.
 func (s *Session) buildBTreeScan(tb *tableBinding, ix *catalog.Index, sg sargInfo) (exec.Iterator, error) {
 	var rids []int64
-	emit := func(val []byte) error {
-		row, _, err := types.DecodeRow(val)
-		if err != nil {
+	var entry []types.Value
+	emit := func(val []byte) (err error) {
+		if entry, _, err = types.AppendDecoded(entry[:0], val, nil); err != nil {
 			return err
 		}
-		rids = append(rids, row[0].Int64())
+		rids = append(rids, entry[0].Int64())
 		return nil
 	}
 	var lo, hi types.Value
@@ -501,7 +612,7 @@ func (s *Session) buildBTreeScan(tb *tableBinding, ix *catalog.Index, sg sargInf
 			return nil, err
 		}
 	}
-	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids)}, nil
+	return tb.fetch(rids), nil
 }
 
 func keyPrefix(key []byte, n int) []byte {
@@ -517,14 +628,14 @@ func (s *Session) buildHashScan(tb *tableBinding, ix *catalog.Index, sg sargInfo
 		return nil, err
 	}
 	rids := make([]int64, 0, len(vals))
+	var entry []types.Value
 	for _, v := range vals {
-		row, _, err := types.DecodeRow(v)
-		if err != nil {
+		if entry, _, err = types.AppendDecoded(entry[:0], v, nil); err != nil {
 			return nil, err
 		}
-		rids = append(rids, row[0].Int64())
+		rids = append(rids, entry[0].Int64())
 	}
-	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids)}, nil
+	return tb.fetch(rids), nil
 }
 
 func (s *Session) buildBitmapScan(tb *tableBinding, ix *catalog.Index, sg sargInfo) (exec.Iterator, error) {
@@ -536,7 +647,7 @@ func (s *Session) buildBitmapScan(tb *tableBinding, ix *catalog.Index, sg sargIn
 			return true
 		})
 	}
-	return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource(rids)}, nil
+	return tb.fetch(rids), nil
 }
 
 // domainPaths proposes domain index scans for user-operator conjuncts.
@@ -601,6 +712,7 @@ func (s *Session) domainPaths(tb *tableBinding, conjuncts []sql.Expr, params []t
 						Info:      info,
 						Call:      call,
 						Heap:      tb.tbl.Heap,
+						Cols:      tb.cols,
 						BatchSize: batch,
 						Label:     pred.label,
 						Sink:      s,
@@ -651,7 +763,7 @@ func (s *Session) rowidPaths(tb *tableBinding, conjuncts []sql.Expr, params []ty
 				if _, err := tb.tbl.Heap.Get(storage.RIDFromInt64(rid)); err != nil {
 					return &exec.Slice{}, nil
 				}
-				return &exec.RIDFetch{Heap: tb.tbl.Heap, Src: exec.SliceRIDSource([]int64{rid})}, nil
+				return tb.fetch([]int64{rid}), nil
 			},
 		})
 	}
@@ -787,39 +899,13 @@ func (s *Session) compileConjuncts(conjuncts []sql.Expr, schema *exec.Schema, pa
 // schema.
 func exprRefsOnly(e sql.Expr, schema *exec.Schema) bool {
 	ok := true
-	var walk func(sql.Expr)
-	walk = func(x sql.Expr) {
-		if !ok || x == nil {
-			return
+	sql.Walk(e, func(x sql.Expr) bool {
+		if cr, isRef := x.(sql.ColumnRef); isRef {
+			_, err := schema.Resolve(cr.Table, cr.Name)
+			ok = ok && err == nil
 		}
-		switch v := x.(type) {
-		case sql.ColumnRef:
-			if _, err := schema.Resolve(v.Table, v.Name); err != nil {
-				ok = false
-			}
-		case sql.Unary:
-			walk(v.X)
-		case sql.Binary:
-			walk(v.L)
-			walk(v.R)
-		case sql.Between:
-			walk(v.X)
-			walk(v.Lo)
-			walk(v.Hi)
-		case sql.InList:
-			walk(v.X)
-			for _, i := range v.List {
-				walk(i)
-			}
-		case sql.IsNull:
-			walk(v.X)
-		case sql.Call:
-			for _, a := range v.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
+		return ok
+	})
 	return ok
 }
 
@@ -1011,6 +1097,7 @@ func (s *Session) planJoin(tbs []*tableBinding, conjuncts []sql.Expr, params []t
 					Info:      dj.info,
 					Call:      extidx.OperatorCall{Name: dj.opName, Args: args, Relop: dj.relop, Bound: dj.bound},
 					Heap:      inner.tbl.Heap,
+					Cols:      inner.cols,
 					BatchSize: s.db.DefaultFetchBatch,
 				}
 				if len(innerConj) > 0 {
@@ -1042,7 +1129,7 @@ func (s *Session) planJoin(tbs []*tableBinding, conjuncts []sql.Expr, params []t
 				if _, err := heap.Get(storage.RIDFromInt64(rid)); err != nil {
 					return &exec.Slice{}, nil // stale rowid matches nothing
 				}
-				var inIt exec.Iterator = &exec.RIDFetch{Heap: heap, Src: exec.SliceRIDSource([]int64{rid})}
+				var inIt exec.Iterator = inner.fetch([]int64{rid})
 				if len(innerConj) > 0 {
 					inIt = &exec.Filter{Child: inIt, Pred: innerPred}
 				}
@@ -1121,8 +1208,14 @@ func (s *Session) planJoin(tbs []*tableBinding, conjuncts []sql.Expr, params []t
 
 // buildIndexEqLookup probes ix for one outer row's join key. A NULL key
 // equals nothing, and must not reach the probe: the index holds NULL
-// keys, and to buildBTreeScan a NULL bound means "unbounded".
+// keys, and to buildBTreeScan a NULL bound means "unbounded". A key of
+// another kind than the column's is first turned into the key it equals
+// under the join's comparison (types.CoerceKind); one that equals no key
+// of the column's kind finds nothing.
 func (s *Session) buildIndexEqLookup(tb *tableBinding, ix *catalog.Index, v types.Value) (exec.Iterator, error) {
+	if i := tb.tbl.ColIndex(ix.Column); i >= 0 {
+		v, _ = types.CoerceKind(v, tb.tbl.Cols[i].Kind)
+	}
 	if v.IsNull() {
 		return &exec.Slice{}, nil
 	}
@@ -1218,42 +1311,13 @@ func isAggregate(e sql.Expr) bool {
 	return ok
 }
 
-// containsAggregate walks an expression for aggregate calls.
+// containsAggregate reports whether e calls an aggregate.
 func containsAggregate(e sql.Expr) bool {
 	found := false
-	var walk func(sql.Expr)
-	walk = func(x sql.Expr) {
-		if found || x == nil {
-			return
-		}
-		switch v := x.(type) {
-		case sql.Call:
-			if isAggregate(v) {
-				found = true
-				return
-			}
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case sql.Unary:
-			walk(v.X)
-		case sql.Binary:
-			walk(v.L)
-			walk(v.R)
-		case sql.Between:
-			walk(v.X)
-			walk(v.Lo)
-			walk(v.Hi)
-		case sql.InList:
-			walk(v.X)
-			for _, i := range v.List {
-				walk(i)
-			}
-		case sql.IsNull:
-			walk(v.X)
-		}
-	}
-	walk(e)
+	sql.Walk(e, func(x sql.Expr) bool {
+		found = found || isAggregate(x)
+		return !found
+	})
 	return found
 }
 

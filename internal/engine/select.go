@@ -181,6 +181,7 @@ func (s *Session) planSelect(sel *sql.Select, params []types.Value) (exec.Iterat
 		}
 		tbs[i] = tb
 	}
+	s.markReadColumns(tbs, sel)
 	conjuncts := splitConjuncts(sel.Where)
 
 	// Aggregation is detected before the access path is built: a

@@ -64,6 +64,11 @@ type Session struct {
 	// the untraced fast path.
 	trace        *obs.QueryTrace
 	pendingTrace *obs.QueryTrace
+
+	// decodeAll makes SELECT scans decode every column: the oracle the
+	// projection-parity test compares the column masks against. Only
+	// tests set it.
+	decodeAll bool
 }
 
 // NewSession opens a session on the database.

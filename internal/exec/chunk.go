@@ -18,6 +18,9 @@ const DefaultChunkSize = 256
 // mid-stream batches (an index scan may legitimately return zero RIDs
 // without being done). Chunks are never reused to alias row storage:
 // rows appended to a chunk remain valid after subsequent NextBatch calls.
+// Producers that build rows (HeapScan, RIDFetch, DomainScan, Project)
+// keep that promise at one allocation per batch: they cut the batch's
+// rows from one fresh slab of values and never write it again.
 //
 // Ancillary values ride from the scan through row-preserving operators
 // (Filter, Limit, the outer side of a join) to the first

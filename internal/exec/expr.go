@@ -262,9 +262,12 @@ func compileBinary(x sql.Binary, schema *Schema, env Env, params []types.Value) 
 			}
 			c, ok := types.Compare(lv, rv)
 			if !ok {
-				// Bool-vs-number comparisons arise from predicates like
-				// Contains(...) = 1; coerce booleans numerically.
-				lv2, rv2 := coerceBoolNum(lv), coerceBoolNum(rv)
+				// A BOOLEAN compares with a NUMBER as 1 or 0.
+				lv2, lok := types.CoerceKind(lv, types.KindNumber)
+				rv2, rok := types.CoerceKind(rv, types.KindNumber)
+				if !lok || !rok {
+					return types.Null(), nil
+				}
 				c, ok = types.Compare(lv2, rv2)
 				if !ok {
 					return types.Null(), nil
@@ -349,16 +352,6 @@ func compileBinary(x sql.Binary, schema *Schema, env Env, params []types.Value) 
 		}, nil
 	}
 	return nil, fmt.Errorf("exec: unknown binary op %q", x.Op)
-}
-
-func coerceBoolNum(v types.Value) types.Value {
-	if v.Kind() == types.KindBool {
-		if v.Truth() {
-			return types.Num(1)
-		}
-		return types.Num(0)
-	}
-	return v
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards (no escape).

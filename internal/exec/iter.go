@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/extidx"
@@ -20,14 +21,22 @@ import (
 // whole heap is h.PageList(); a parallel morsel is one PageRanges entry.
 // Statements hold table locks until their result is drained, so the page
 // list taken at construction stays valid for the scan's lifetime.
+//
+// Cols, when non-nil, masks the table columns the statement reads: the
+// others are skipped in the page image and come back NULL. A page's
+// rows are cut from one slab, so a scan allocates once per page plus
+// what the strings, objects and arrays it decodes need.
 type HeapScan struct {
+	Cols []bool
+
 	heap  *storage.Heap
 	pages []storage.PageID
+	slab  rowSlab
 	rows  []Row // the current page's decoded rows
 	pos   int
 }
 
-// NewHeapScan returns a scan over pages of h.
+// NewHeapScan returns a scan over pages of h that decodes every column.
 func NewHeapScan(h *storage.Heap, pages []storage.PageID) *HeapScan {
 	return &HeapScan{heap: h, pages: pages}
 }
@@ -52,19 +61,22 @@ func (s *HeapScan) NextBatch(c *Chunk) error {
 }
 
 // refill decodes the next page's rows into s.rows. Decoding copies all
-// byte content, so the rows outlive the page pin.
+// byte content, so the rows outlive the page pin, and each page's rows
+// share a fresh slab, so they outlive the next refill too.
 func (s *HeapScan) refill() error {
 	page := s.pages[:1]
 	s.pages = s.pages[1:]
-	s.rows, s.pos = s.rows[:0], 0
-	return s.heap.ScanPages(page, func(rid storage.RID, img []byte) (bool, error) {
-		row, _, err := types.DecodeRow(img)
-		if err != nil {
-			return false, err
-		}
-		s.rows = append(s.rows, append(row, types.Int(rid.Int64())))
-		return true, nil
+	s.pos = 0
+	s.rows = s.rows[:0]
+	err := s.heap.ScanPages(page, func(rid storage.RID, img []byte) (bool, error) {
+		return true, s.slab.add(img, rid.Int64(), s.Cols, len(s.slab.rows))
 	})
+	if err != nil {
+		s.slab.reset()
+		return err
+	}
+	s.slab.cut(func(_ int, r Row) { s.rows = append(s.rows, r) })
+	return nil
 }
 
 // Close implements Iterator.
@@ -135,9 +147,13 @@ func (p *Project) NextBatch(c *Chunk) error {
 	if err := p.Child.NextBatch(p.buf); err != nil {
 		return err
 	}
+	// One slab holds the batch's output rows; like a scan's, it is never
+	// written again, so the rows outlive the batch.
+	w := len(p.Exprs)
+	slab := make([]types.Value, len(p.buf.Rows)*w)
 	for i, r := range p.buf.Rows {
 		p.buf.PublishRow(i)
-		out := make(Row, len(p.Exprs))
+		out := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, e := range p.Exprs {
 			v, err := e(r)
 			if err != nil {
@@ -434,44 +450,100 @@ func (j *NestedLoopJoin) Close() error {
 // ---------------------------------------------------------------------------
 // RID fetch
 
-// fetchRows appends the decoded rows for rids to c, in input order, with
-// the ROWID pseudo-column appended. Row images come from one page-sorted
-// batched heap read, so each page is pinned once per batch instead of
-// once per row. Decoding copies all byte content, so rows never alias
-// pinned pages.
-func fetchRows(h *storage.Heap, rids []int64, c *Chunk) error {
+// rowSlab decodes a batch of heap row images, each with its ROWID
+// appended, through a column mask into one slab, and cuts the batch's
+// rows from it: one allocation per batch instead of one per row. The
+// slab is sized from the previous batch, so only a batch larger than
+// that one grows it. A cut slab belongs to its rows and is never written
+// again, so rows stay valid after the next batch, as the Chunk contract
+// asks.
+type rowSlab struct {
+	vals  []types.Value // the batch's values, row after row
+	rows  []slabRow     // the added rows, in add order
+	srids []storage.RID // fetch: the batch's RIDs
+	size  int           // len(vals) at the last cut
+}
+
+// slabRow is one added row: where it ends in the slab and where its
+// producer wants it.
+type slabRow struct{ end, at int }
+
+// add decodes img through cols (nil decodes every column), appends rid
+// as the ROWID column, and files the row under output position at.
+func (b *rowSlab) add(img []byte, rid int64, cols []bool, at int) error {
+	if b.vals == nil {
+		b.vals = make([]types.Value, 0, b.size)
+	}
+	vals, _, err := types.AppendDecoded(b.vals, img, cols)
+	if err != nil {
+		return err
+	}
+	b.vals = append(vals, types.Int(rid))
+	b.rows = append(b.rows, slabRow{end: len(b.vals), at: at})
+	return nil
+}
+
+// cut calls put with each added row and its output position, in add
+// order, and hands the slab over to those rows. Each row's capacity
+// ends at its last column, so an append to one row never runs into the
+// next.
+func (b *rowSlab) cut(put func(at int, r Row)) {
+	if len(b.rows) == 0 {
+		return
+	}
+	start := 0
+	for _, r := range b.rows {
+		put(r.at, b.vals[start:r.end:r.end])
+		start = r.end
+	}
+	b.vals, b.size, b.rows = nil, len(b.vals), b.rows[:0]
+}
+
+// reset drops a batch that failed before its cut; no row holds its slab.
+func (b *rowSlab) reset() {
+	clear(b.vals)
+	b.vals, b.rows = b.vals[:0], b.rows[:0]
+}
+
+// fetch appends the rows for rids to c, in input order, with the ROWID
+// pseudo-column appended and unread columns (cols) NULL. Row images
+// come from one page-sorted batched heap read, so each page is pinned
+// once per batch instead of once per row. Decoding copies all byte
+// content, so rows never alias pinned pages.
+func (b *rowSlab) fetch(h *storage.Heap, rids []int64, cols []bool, c *Chunk) error {
 	if len(rids) == 0 {
 		return nil
 	}
-	srids := make([]storage.RID, len(rids))
-	for i, r := range rids {
-		srids[i] = storage.RIDFromInt64(r)
+	b.srids = slices.Grow(b.srids[:0], len(rids))
+	b.rows = slices.Grow(b.rows, len(rids))
+	for _, r := range rids {
+		b.srids = append(b.srids, storage.RIDFromInt64(r))
 	}
-	start := len(c.Rows)
-	c.Rows = append(c.Rows, make([]Row, len(rids))...)
-	if err := h.GetBatchFunc(srids, func(i int, img []byte) error {
-		row, _, err := types.DecodeRow(img)
-		if err != nil {
-			return err
-		}
-		c.Rows[start+i] = append(row, types.Int(rids[i]))
-		return nil
+	// GetBatchFunc visits in page order; each row is filed under its
+	// input position.
+	if err := h.GetBatchFunc(b.srids, func(i int, img []byte) error {
+		return b.add(img, rids[i], cols, i)
 	}); err != nil {
-		c.Rows = c.Rows[:start]
+		b.reset()
 		return err
 	}
+	start := len(c.Rows)
+	c.Rows = slices.Grow(c.Rows, len(rids))[:start+len(rids)]
+	b.cut(func(at int, r Row) { c.Rows[start+at] = r })
 	c.RIDs = append(c.RIDs, rids...)
 	return nil
 }
 
-// RIDFetch turns a stream of packed RIDs into full table rows (RID
-// appended), batching heap reads page-sorted. It is the table-access
-// stage above index scans.
+// RIDFetch turns a stream of packed RIDs into table rows (RID appended),
+// batching heap reads page-sorted. It is the table-access stage above
+// index scans. Cols masks the columns decoded, as for HeapScan.
 type RIDFetch struct {
 	Heap *storage.Heap
 	Src  func() (int64, bool, error) // next RID; ok=false at end
+	Cols []bool
 
 	rids []int64
+	slab rowSlab
 }
 
 // NextBatch implements Iterator.
@@ -488,7 +560,7 @@ func (f *RIDFetch) NextBatch(c *Chunk) error {
 		}
 		f.rids = append(f.rids, rid)
 	}
-	return fetchRows(f.Heap, f.rids, c)
+	return f.slab.fetch(f.Heap, f.rids, f.Cols, c)
 }
 
 // Close implements Iterator.
@@ -528,6 +600,8 @@ type DomainScan struct {
 	Info    extidx.IndexInfo
 	Call    extidx.OperatorCall
 	Heap    *storage.Heap
+	// Cols masks the columns decoded from the heap, as for HeapScan.
+	Cols []bool
 	// BatchSize is passed to Fetch (<=0 lets the cartridge choose) and is
 	// the chunk size this scan produces.
 	BatchSize int
@@ -554,6 +628,7 @@ type DomainScan struct {
 	anc     []types.Value
 	pos     int
 	done    bool
+	slab    rowSlab
 }
 
 // NextBatch implements Iterator.
@@ -600,7 +675,7 @@ func (d *DomainScan) emitBatch(c *Chunk) error {
 		anc = d.anc[d.pos:]
 	}
 	d.pos = len(d.buf)
-	if err := fetchRows(d.Heap, rids, c); err != nil {
+	if err := d.slab.fetch(d.Heap, rids, d.Cols, c); err != nil {
 		return err
 	}
 	if d.Label != 0 && d.Sink != nil {
@@ -681,13 +756,33 @@ type HashAggregate struct {
 	evaluated   bool
 }
 
+// aggState is one group: its key values and one aggCell per spec.
 type aggState struct {
-	keys   []types.Value
-	count  []int64
-	sum    []float64
-	minv   []types.Value
-	maxv   []types.Value
-	filled []bool
+	keys  []types.Value
+	cells []aggCell
+}
+
+// aggCell is one aggregate's running state within a group; min and max
+// are meaningful once filled.
+type aggCell struct {
+	count      int64
+	sum        float64
+	minv, maxv types.Value
+	filled     bool
+}
+
+// fold folds a non-NULL value into min and max.
+func (c *aggCell) fold(mn, mx types.Value) {
+	if !c.filled {
+		c.minv, c.maxv, c.filled = mn, mx, true
+		return
+	}
+	if types.Less(mn, c.minv) {
+		c.minv = mn
+	}
+	if types.Less(c.maxv, mx) {
+		c.maxv = mx
+	}
 }
 
 // NextBatch implements Iterator.
@@ -706,9 +801,22 @@ func (h *HashAggregate) NextBatch(c *Chunk) error {
 	return nil
 }
 
+// evaluate drains the child into the group table. Each row's key values
+// and their encoding go into buffers reused across rows, and the probe
+// looks the encoding up without converting it to a string, so a row
+// that joins an existing group allocates nothing; only a new group
+// copies its key.
 func (h *HashAggregate) evaluate(batch int) error {
 	groups := map[string]*aggState{}
-	var order []string
+	var order []*aggState
+	// An aggregate without GROUP BY has one group, rows or no rows.
+	var global *aggState
+	if len(h.GroupBy) == 0 {
+		global = &aggState{cells: make([]aggCell, len(h.Specs))}
+		order = append(order, global)
+	}
+	keys := make([]types.Value, len(h.GroupBy))
+	var enc []byte
 	buf := NewChunk(batch)
 	for {
 		if err := h.Child.NextBatch(buf); err != nil {
@@ -719,35 +827,31 @@ func (h *HashAggregate) evaluate(batch int) error {
 		}
 		for ri, r := range buf.Rows {
 			buf.PublishRow(ri)
-			keys := make([]types.Value, len(h.GroupBy))
-			for i, g := range h.GroupBy {
-				v, err := g(r)
-				if err != nil {
-					return err
+			st := global
+			if st == nil {
+				for i, g := range h.GroupBy {
+					v, err := g(r)
+					if err != nil {
+						return err
+					}
+					keys[i] = v
 				}
-				keys[i] = v
-			}
-			gk := string(types.EncodeRow(nil, keys))
-			st, ok := groups[gk]
-			if !ok {
-				st = &aggState{
-					keys:   keys,
-					count:  make([]int64, len(h.Specs)),
-					sum:    make([]float64, len(h.Specs)),
-					minv:   make([]types.Value, len(h.Specs)),
-					maxv:   make([]types.Value, len(h.Specs)),
-					filled: make([]bool, len(h.Specs)),
+				enc = types.EncodeRow(enc[:0], keys)
+				var ok bool
+				if st, ok = groups[string(enc)]; !ok {
+					st = &aggState{keys: slices.Clone(keys), cells: make([]aggCell, len(h.Specs))}
+					groups[string(enc)] = st
+					order = append(order, st)
 				}
-				groups[gk] = st
-				order = append(order, gk)
 			}
 			if h.FromPartial {
 				h.mergePartial(st, r)
 				continue
 			}
 			for i, spec := range h.Specs {
+				cell := &st.cells[i]
 				if spec.Kind == AggCountStar {
-					st.count[i]++
+					cell.count++
 					continue
 				}
 				v, err := spec.Arg(r)
@@ -757,70 +861,40 @@ func (h *HashAggregate) evaluate(batch int) error {
 				if v.IsNull() {
 					continue
 				}
-				st.count[i]++
-				st.sum[i] += v.Float()
-				if !st.filled[i] {
-					st.minv[i], st.maxv[i] = v, v
-					st.filled[i] = true
-					continue
-				}
-				if types.Less(v, st.minv[i]) {
-					st.minv[i] = v
-				}
-				if types.Less(st.maxv[i], v) {
-					st.maxv[i] = v
-				}
+				cell.count++
+				cell.sum += v.Float()
+				cell.fold(v, v)
 			}
 		}
 	}
-	// A global aggregate (no GROUP BY) over zero rows still yields one row.
-	if len(order) == 0 && len(h.GroupBy) == 0 {
-		st := &aggState{
-			count:  make([]int64, len(h.Specs)),
-			sum:    make([]float64, len(h.Specs)),
-			minv:   make([]types.Value, len(h.Specs)),
-			maxv:   make([]types.Value, len(h.Specs)),
-			filled: make([]bool, len(h.Specs)),
-		}
-		groups[""] = st
-		order = append(order, "")
-	}
-	for _, gk := range order {
-		st := groups[gk]
+	for _, st := range order {
 		if h.Partial {
-			h.out = append(h.out, partialRow(st, len(h.Specs)))
+			h.out = append(h.out, partialRow(st))
 			continue
 		}
 		row := make(Row, 0, len(st.keys)+len(h.Specs))
 		row = append(row, st.keys...)
 		for i, spec := range h.Specs {
+			cell := st.cells[i]
 			switch spec.Kind {
 			case AggCount, AggCountStar:
-				row = append(row, types.Int(st.count[i]))
+				row = append(row, types.Int(cell.count))
 			case AggSum:
-				if st.count[i] == 0 {
+				if cell.count == 0 {
 					row = append(row, types.Null())
 				} else {
-					row = append(row, types.Num(st.sum[i]))
+					row = append(row, types.Num(cell.sum))
 				}
 			case AggAvg:
-				if st.count[i] == 0 {
+				if cell.count == 0 {
 					row = append(row, types.Null())
 				} else {
-					row = append(row, types.Num(st.sum[i]/float64(st.count[i])))
+					row = append(row, types.Num(cell.sum/float64(cell.count)))
 				}
 			case AggMin:
-				if !st.filled[i] {
-					row = append(row, types.Null())
-				} else {
-					row = append(row, st.minv[i])
-				}
+				row = append(row, cell.minv) // NULL while unfilled
 			case AggMax:
-				if !st.filled[i] {
-					row = append(row, types.Null())
-				} else {
-					row = append(row, st.maxv[i])
-				}
+				row = append(row, cell.maxv)
 			}
 		}
 		h.out = append(h.out, row)
@@ -830,16 +904,11 @@ func (h *HashAggregate) evaluate(batch int) error {
 
 // partialRow renders one group's raw state: keys, then per spec
 // [count, sum, min, max] with min/max NULL while unfilled.
-func partialRow(st *aggState, nSpecs int) Row {
-	row := make(Row, 0, len(st.keys)+4*nSpecs)
+func partialRow(st *aggState) Row {
+	row := make(Row, 0, len(st.keys)+4*len(st.cells))
 	row = append(row, st.keys...)
-	for i := 0; i < nSpecs; i++ {
-		row = append(row, types.Int(st.count[i]), types.Num(st.sum[i]))
-		if st.filled[i] {
-			row = append(row, st.minv[i], st.maxv[i])
-		} else {
-			row = append(row, types.Null(), types.Null())
-		}
+	for _, cell := range st.cells {
+		row = append(row, types.Int(cell.count), types.Num(cell.sum), cell.minv, cell.maxv)
 	}
 	return row
 }
@@ -849,22 +918,11 @@ func partialRow(st *aggState, nSpecs int) Row {
 func (h *HashAggregate) mergePartial(st *aggState, r Row) {
 	for i := range h.Specs {
 		base := len(h.GroupBy) + 4*i
-		st.count[i] += r[base].Int64()
-		st.sum[i] += r[base+1].Float()
-		mn, mx := r[base+2], r[base+3]
-		if mn.IsNull() {
-			continue
-		}
-		if !st.filled[i] {
-			st.minv[i], st.maxv[i] = mn, mx
-			st.filled[i] = true
-			continue
-		}
-		if types.Less(mn, st.minv[i]) {
-			st.minv[i] = mn
-		}
-		if types.Less(st.maxv[i], mx) {
-			st.maxv[i] = mx
+		cell := &st.cells[i]
+		cell.count += r[base].Int64()
+		cell.sum += r[base+1].Float()
+		if mn := r[base+2]; !mn.IsNull() {
+			cell.fold(mn, r[base+3])
 		}
 	}
 }

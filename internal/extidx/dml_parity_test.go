@@ -22,11 +22,15 @@ import (
 // NULLs; statements bind NULL parameters too. Each statement must affect
 // the same number of rows everywhere; afterwards the twins' rows, read
 // back through every index, and their domain-index answers must equal
-// the oracle's full-scan answers, and every B-tree must validate.
+// the oracle's full-scan answers, and every B-tree must validate. Three
+// BOOLEAN columns, one under each built-in index kind, are compared with
+// NUMBER parameters too (b = 1, as operator predicates are written),
+// which the full scan's comparison coerces and an index probe must not
+// miss.
 
 var parityWords = []string{"oracle", "unix", "java", "golf", "kernel", "chess", "sailing", "cobol"}
 
-const parityCols = `SELECT ROWID, id, k, h, b, body FROM P`
+const parityCols = `SELECT ROWID, id, k, h, b, body, bt, bh, bm FROM P`
 
 func parityBody(rng *rand.Rand) string {
 	n := 1 + rng.Intn(3)
@@ -45,7 +49,24 @@ func parityNum(rng *rand.Rand, hi int) types.Value {
 	return types.Int(int64(rng.Intn(hi)))
 }
 
-// openParity builds one twin: the same seeded rows, then the four indexes.
+// parityBool draws a BOOLEAN-column value or a parameter to compare one
+// with: TRUE, FALSE, 0, 1, 2, or NULL one time in eight.
+func parityBool(rng *rand.Rand) types.Value {
+	if rng.Intn(8) == 0 {
+		return types.Null()
+	}
+	return []types.Value{types.Bool(true), types.Bool(false), types.Int(0), types.Int(1), types.Int(2)}[rng.Intn(5)]
+}
+
+// parityFlag draws a stored BOOLEAN: TRUE, FALSE, or NULL one time in eight.
+func parityFlag(rng *rand.Rand) types.Value {
+	if rng.Intn(8) == 0 {
+		return types.Null()
+	}
+	return types.Bool(rng.Intn(2) == 0)
+}
+
+// openParity builds one twin: the same seeded rows, then the seven indexes.
 func openParity(t *testing.T, seed int64, rows int) *engine.Session {
 	t.Helper()
 	db, err := engine.Open(engine.Options{})
@@ -58,15 +79,19 @@ func openParity(t *testing.T, seed int64, rows int) *engine.Session {
 		t.Fatalf("install: %v", err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	stmts := []string{`CREATE TABLE P(id NUMBER, k NUMBER, h NUMBER, b NUMBER, body VARCHAR2)`, `BEGIN`}
+	stmts := []string{`CREATE TABLE P(id NUMBER, k NUMBER, h NUMBER, b NUMBER, body VARCHAR2, bt BOOLEAN, bh BOOLEAN, bm BOOLEAN)`, `BEGIN`}
 	for i := 0; i < rows; i++ {
-		stmts = append(stmts, fmt.Sprintf(`INSERT INTO P VALUES (%d, %s, %s, %s, '%s')`,
-			i, parityNum(rng, 100), parityNum(rng, 20), parityNum(rng, 5), parityBody(rng)))
+		stmts = append(stmts, fmt.Sprintf(`INSERT INTO P VALUES (%d, %s, %s, %s, '%s', %s, %s, %s)`,
+			i, parityNum(rng, 100), parityNum(rng, 20), parityNum(rng, 5), parityBody(rng),
+			parityFlag(rng), parityFlag(rng), parityFlag(rng)))
 	}
 	stmts = append(stmts, `COMMIT`,
 		`CREATE INDEX P_K ON P(k)`,
 		`CREATE HASH INDEX P_H ON P(h)`,
 		`CREATE BITMAP INDEX P_B ON P(b)`,
+		`CREATE INDEX P_BT ON P(bt)`,
+		`CREATE HASH INDEX P_BH ON P(bh)`,
+		`CREATE BITMAP INDEX P_BM ON P(bm)`,
 		`CREATE INDEX P_T ON P(body) INDEXTYPE IS TextIndexType PARAMETERS (':Language English :Ignore the a an')`)
 	for _, st := range stmts {
 		if _, err := s.Exec(st); err != nil {
@@ -81,7 +106,7 @@ func openParity(t *testing.T, seed int64, rows int) *engine.Session {
 // stale or NULL), or the domain operator.
 func parityAtom(rng *rand.Rand, live, dead []types.Value) (string, []types.Value) {
 	n := func(hi int) types.Value { return parityNum(rng, hi) }
-	switch rng.Intn(8) {
+	switch rng.Intn(11) {
 	case 0:
 		return `k = ?`, []types.Value{n(100)}
 	case 1:
@@ -109,6 +134,12 @@ func parityAtom(rng *rand.Rand, live, dead []types.Value) (string, []types.Value
 		if len(live) > 0 {
 			return `ROWID = ?`, []types.Value{live[rng.Intn(len(live))]}
 		}
+	case 7:
+		return []string{`bt = ?`, `bt >= ?`, `bt < ?`}[rng.Intn(3)], []types.Value{parityBool(rng)}
+	case 8:
+		return `bh = ?`, []types.Value{parityBool(rng)}
+	case 9:
+		return `bm = ?`, []types.Value{parityBool(rng)}
 	}
 	return `Contains(body, ?)`, []types.Value{types.Str(parityWords[rng.Intn(len(parityWords))])}
 }
@@ -129,12 +160,15 @@ func parityStmt(rng *rand.Rand, live, dead []types.Value) (string, []types.Value
 		args = append(args, a...)
 	}
 	where := strings.Join(conj, " AND ")
-	switch rng.Intn(6) {
+	switch rng.Intn(7) {
 	case 0, 1:
 		return `UPDATE P SET k = k + ? WHERE ` + where, append([]types.Value{types.Int(int64(rng.Intn(30) - 10))}, args...)
 	case 2:
 		return `UPDATE P SET h = ?, b = ? WHERE ` + where,
 			append([]types.Value{parityNum(rng, 20), parityNum(rng, 5)}, args...)
+	case 5:
+		return `UPDATE P SET bt = ?, bh = ?, bm = ? WHERE ` + where,
+			append([]types.Value{parityFlag(rng), parityFlag(rng), parityFlag(rng)}, args...)
 	case 3, 4:
 		return `UPDATE P SET body = ? WHERE ` + where, append([]types.Value{types.Str(parityBody(rng))}, args...)
 	}
@@ -182,6 +216,14 @@ func readBack(t *testing.T, s *engine.Session, index, domain string) map[string]
 	for b := 0; b < 5; b++ {
 		out["bitmap"] = append(out["bitmap"], parityRows(t, s, index, parityCols+` WHERE b = ?`, types.Int(int64(b)))...)
 	}
+	for _, col := range []string{"bt", "bh", "bm"} {
+		for _, v := range []types.Value{types.Int(1), types.Int(0), types.Int(2), types.Bool(true), types.Bool(false), types.Null()} {
+			via := fmt.Sprintf("%s = %s", col, v)
+			out[via] = parityRows(t, s, index, parityCols+` WHERE `+col+` = ?`, v)
+		}
+	}
+	out["bt >= 1"] = parityRows(t, s, index, parityCols+` WHERE bt >= 1`)
+	out["bt < TRUE"] = parityRows(t, s, index, parityCols+` WHERE bt < TRUE`)
 	sort.Strings(out["hash"])
 	sort.Strings(out["bitmap"])
 	for _, w := range parityWords {

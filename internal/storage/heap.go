@@ -46,8 +46,18 @@ type Heap struct {
 	pager *Pager
 	first PageID
 	pages []PageID
-	// freeBytes approximates per-page free space to direct inserts.
+	// freeBytes approximates per-page free space to direct inserts. Its
+	// keys are exactly the heap's pages (see owns).
 	freeBytes map[PageID]int
+}
+
+// owns reports whether page id is one of the heap's pages. A RID on any
+// other page (another table's, an index's, the dictionary's) names no
+// row here: reading it as a heap slot would return another table's row
+// or run off the page's slot directory.
+func (h *Heap) owns(id PageID) bool {
+	_, ok := h.freeBytes[id]
+	return ok
 }
 
 // CreateHeap allocates an empty heap.
@@ -230,6 +240,9 @@ func (h *Heap) InsertAt(rid RID, row []byte) error {
 // copy is not a row at its own RID (its row is named by the stub), so a
 // stale RID whose slot now holds one resolves to no row.
 func (h *Heap) resolve(rid RID, fn func(home RID, img []byte) error) error {
+	if !h.owns(rid.Page) {
+		return fmt.Errorf("storage: no row at %s", rid)
+	}
 	pg, err := h.pager.Fetch(rid.Page)
 	if err != nil {
 		return err
@@ -318,6 +331,9 @@ func (h *Heap) GetBatchFunc(rids []RID, fn func(i int, img []byte) error) error 
 	})
 	for k := 0; k < len(perm); {
 		page := rids[perm[k]].Page
+		if !h.owns(page) {
+			return fmt.Errorf("storage: no row at %s", rids[perm[k]])
+		}
 		pg, err := h.pager.Fetch(page)
 		if err != nil {
 			return err

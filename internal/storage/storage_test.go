@@ -383,6 +383,48 @@ func TestHeapRelocatedSlotIsNoRow(t *testing.T) {
 	}
 }
 
+// TestHeapForeignRIDIsNoRow: a RID on a page the heap does not own —
+// another heap's, or a page that is no heap page at all — names no row:
+// reads, updates and deletes through it fail cleanly instead of
+// returning the other table's row or running off the slot directory.
+func TestHeapForeignRIDIsNoRow(t *testing.T) {
+	p := newTestPager(t, 64)
+	h, _ := CreateHeap(p)
+	other, _ := CreateHeap(p)
+	if _, err := h.Insert([]byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	theirs, err := other.Insert([]byte("theirs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := p.NewPage() // not a heap page: its slot count is garbage
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw.Data {
+		raw.Data[i] = 0xFF
+	}
+	p.Unpin(raw, true)
+	for _, rid := range []RID{theirs, {Page: raw.ID, Slot: 3}, {Page: InvalidPage}} {
+		if got, err := h.Get(rid); err == nil {
+			t.Errorf("Get(%v) returned %q", rid, got)
+		}
+		if _, err := h.GetBatch([]RID{rid}); err == nil {
+			t.Errorf("GetBatch(%v) returned a row", rid)
+		}
+		if err := h.Update(rid, []byte("x")); err == nil {
+			t.Errorf("Update(%v) succeeded", rid)
+		}
+		if err := h.Delete(rid); err == nil {
+			t.Errorf("Delete(%v) succeeded", rid)
+		}
+	}
+	if got, err := other.Get(theirs); err != nil || string(got) != "theirs" {
+		t.Fatalf("the other heap's row: %q, %v", got, err)
+	}
+}
+
 func TestHeapGetBatch(t *testing.T) {
 	p := newTestPager(t, 64)
 	h, _ := CreateHeap(p)

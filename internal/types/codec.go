@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The binary row codec. Rows ([]Value) are encoded as a count followed by
@@ -39,11 +40,7 @@ func encodeValue(dst []byte, v Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
 		dst = append(dst, v.str...)
 	case KindBool:
-		if v.b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, byte(v.num))
 	case KindLOB:
 		dst = binary.AppendVarint(dst, int64(v.num))
 	case KindObject:
@@ -54,8 +51,8 @@ func encodeValue(dst []byte, v Value) []byte {
 			dst = encodeValue(dst, a)
 		}
 	case KindArray:
-		dst = binary.AppendUvarint(dst, uint64(len(v.arr)))
-		for _, e := range v.arr {
+		dst = binary.AppendUvarint(dst, uint64(len(v.obj.Attrs)))
+		for _, e := range v.obj.Attrs {
 			dst = encodeValue(dst, e)
 		}
 	}
@@ -65,102 +62,129 @@ func encodeValue(dst []byte, v Value) []byte {
 // DecodeRow decodes a row previously produced by EncodeRow. It returns the
 // row and the number of bytes consumed.
 func DecodeRow(src []byte) ([]Value, int, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 {
-		return nil, 0, fmt.Errorf("types: corrupt row header")
-	}
-	if n > uint64(len(src)) {
-		return nil, 0, fmt.Errorf("types: implausible column count %d", n)
-	}
-	off := sz
-	// One spare slot: scans append the ROWID pseudo-column in place.
-	row := make([]Value, n, n+1)
-	for i := range row {
-		v, consumed, err := decodeValue(src[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("types: column %d: %w", i, err)
-		}
-		row[i] = v
-		off += consumed
-	}
-	return row, off, nil
+	return AppendDecoded(nil, src, nil)
 }
 
-func decodeValue(src []byte) (Value, int, error) {
-	if len(src) == 0 {
-		return Value{}, 0, fmt.Errorf("truncated value")
+// AppendDecoded decodes the row encoded at the front of src, appends its
+// columns to dst, and returns the extended slice and the number of bytes
+// consumed. read masks the columns: column i is decoded only when read
+// is nil or read[i] is true (columns past len(read) are decoded too), and
+// a masked-out column is skipped over and appended as NULL, so it costs
+// neither an allocation nor a string copy. Decoded strings are copies:
+// the result never aliases src. When dst must grow it gets one spare
+// slot, so a scan can append the ROWID pseudo-column without growing it
+// again.
+func AppendDecoded(dst []Value, src []byte, read []bool) ([]Value, int, error) {
+	n, sz := binary.Uvarint(src)
+	if sz <= 0 {
+		return dst, 0, fmt.Errorf("types: corrupt row header")
 	}
-	k := Kind(src[0])
-	off := 1
-	switch k {
-	case KindNull:
-		return Null(), off, nil
-	case KindNumber:
-		if len(src) < off+8 {
-			return Value{}, 0, fmt.Errorf("truncated NUMBER")
-		}
-		bits := binary.BigEndian.Uint64(src[off:])
-		return Num(math.Float64frombits(bits)), off + 8, nil
-	case KindString:
-		n, sz := binary.Uvarint(src[off:])
-		if sz <= 0 || uint64(len(src)) < uint64(off+sz)+n {
-			return Value{}, 0, fmt.Errorf("truncated VARCHAR2")
-		}
-		off += sz
-		return Str(string(src[off : off+int(n)])), off + int(n), nil
-	case KindBool:
-		if len(src) < off+1 {
-			return Value{}, 0, fmt.Errorf("truncated BOOLEAN")
-		}
-		return Bool(src[off] != 0), off + 1, nil
-	case KindLOB:
-		id, sz := binary.Varint(src[off:])
-		if sz <= 0 {
-			return Value{}, 0, fmt.Errorf("truncated LOB locator")
-		}
-		return LOB(id), off + sz, nil
-	case KindObject:
-		n, sz := binary.Uvarint(src[off:])
-		if sz <= 0 || uint64(len(src)) < uint64(off+sz)+n {
-			return Value{}, 0, fmt.Errorf("truncated object type name")
-		}
-		off += sz
-		name := string(src[off : off+int(n)])
-		off += int(n)
-		nattrs, sz := binary.Uvarint(src[off:])
-		if sz <= 0 || nattrs > uint64(len(src)) {
-			return Value{}, 0, fmt.Errorf("truncated object attr count")
-		}
-		off += sz
-		attrs := make([]Value, nattrs)
-		for i := range attrs {
-			v, consumed, err := decodeValue(src[off:])
-			if err != nil {
-				return Value{}, 0, err
-			}
-			attrs[i] = v
-			off += consumed
-		}
-		return Obj(name, attrs...), off, nil
-	case KindArray:
-		nelems, sz := binary.Uvarint(src[off:])
-		if sz <= 0 || nelems > uint64(len(src)) {
-			return Value{}, 0, fmt.Errorf("truncated array length")
-		}
-		off += sz
-		elems := make([]Value, nelems)
-		for i := range elems {
-			v, consumed, err := decodeValue(src[off:])
-			if err != nil {
-				return Value{}, 0, err
-			}
-			elems[i] = v
-			off += consumed
-		}
-		return Arr(elems...), off, nil
-	default:
-		return Value{}, 0, fmt.Errorf("unknown value tag %d", src[0])
+	if n > uint64(len(src)) {
+		return dst, 0, fmt.Errorf("types: implausible column count %d", n)
 	}
+	base := len(dst)
+	dst = slices.Grow(dst, int(n)+1)
+	dst, consumed, err := decodeValues(dst, src[sz:], int(n), read, false)
+	if err != nil {
+		return dst[:base], 0, fmt.Errorf("types: %w", err)
+	}
+	return dst, sz + consumed, nil
+}
+
+// decodeValues decodes the n values at the front of src, appends them to
+// dst, and returns the extended slice and the bytes consumed. Value i is
+// kept unless read masks it out (i < len(read) && !read[i]); a value not
+// kept is only measured, which still checks its framing, and appended as
+// NULL. With skip set no value is kept and nothing is appended: the
+// caller wants the length alone. Row columns and the attributes of
+// OBJECT and VARRAY values all decode here, one value per iteration
+// rather than one call, because a scan decodes every column of every
+// row it reads.
+func decodeValues(dst []Value, src []byte, n int, read []bool, skip bool) ([]Value, int, error) {
+	off := 0
+	for i := 0; i < n; i++ {
+		if off >= len(src) {
+			return dst, 0, fmt.Errorf("value %d: truncated", i)
+		}
+		k := Kind(src[off])
+		off++
+		keep := !skip && (i >= len(read) || read[i])
+		var v Value
+		switch k {
+		case KindNull:
+		case KindNumber:
+			if len(src) < off+8 {
+				return dst, 0, fmt.Errorf("value %d: truncated NUMBER", i)
+			}
+			if keep {
+				v = Num(math.Float64frombits(binary.BigEndian.Uint64(src[off:])))
+			}
+			off += 8
+		case KindString:
+			l, sz := binary.Uvarint(src[off:])
+			if sz <= 0 || uint64(len(src)) < uint64(off+sz)+l {
+				return dst, 0, fmt.Errorf("value %d: truncated VARCHAR2", i)
+			}
+			off += sz
+			if keep {
+				v = Str(string(src[off : off+int(l)]))
+			}
+			off += int(l)
+		case KindBool:
+			if len(src) < off+1 {
+				return dst, 0, fmt.Errorf("value %d: truncated BOOLEAN", i)
+			}
+			if keep {
+				v = Bool(src[off] != 0)
+			}
+			off++
+		case KindLOB:
+			id, sz := binary.Varint(src[off:])
+			if sz <= 0 {
+				return dst, 0, fmt.Errorf("value %d: truncated LOB locator", i)
+			}
+			if keep {
+				v = LOB(id)
+			}
+			off += sz
+		case KindObject, KindArray:
+			var name string
+			if k == KindObject {
+				l, sz := binary.Uvarint(src[off:])
+				if sz <= 0 || uint64(len(src)) < uint64(off+sz)+l {
+					return dst, 0, fmt.Errorf("value %d: truncated object type name", i)
+				}
+				off += sz
+				if keep {
+					name = string(src[off : off+int(l)])
+				}
+				off += int(l)
+			}
+			l, sz := binary.Uvarint(src[off:])
+			if sz <= 0 || l > uint64(len(src)) {
+				return dst, 0, fmt.Errorf("value %d: truncated %s length", i, k)
+			}
+			off += sz
+			var elems []Value
+			if keep {
+				elems = make([]Value, 0, l)
+			}
+			elems, consumed, err := decodeValues(elems, src[off:], int(l), nil, !keep)
+			if err != nil {
+				return dst, 0, fmt.Errorf("value %d: %w", i, err)
+			}
+			off += consumed
+			if keep {
+				v = Value{kind: k, obj: &Object{TypeName: name, Attrs: elems}}
+			}
+		default:
+			return dst, 0, fmt.Errorf("value %d: unknown value tag %d", i, k)
+		}
+		if !skip {
+			dst = append(dst, v)
+		}
+	}
+	return dst, off, nil
 }
 
 // EncodeKey encodes a single value as an order-preserving byte key: for
@@ -195,16 +219,13 @@ func EncodeKey(dst []byte, v Value) []byte {
 		}
 		return append(dst, 0x00, 0x00)
 	case KindBool:
-		if v.b {
-			return append(dst, 0x30, 1)
-		}
-		return append(dst, 0x30, 0)
+		return append(dst, 0x30, byte(v.num))
 	case KindLOB:
 		dst = append(dst, 0x40)
 		return binary.BigEndian.AppendUint64(dst, uint64(int64(v.num))^(1<<63))
 	case KindArray:
 		dst = append(dst, 0x50)
-		for _, e := range v.arr {
+		for _, e := range v.obj.Attrs {
 			dst = append(dst, 0x01)
 			dst = EncodeKey(dst, e)
 		}

@@ -17,7 +17,7 @@ func Compare(a, b Value) (int, bool) {
 		return 0, false
 	}
 	switch a.kind {
-	case KindNumber, KindLOB:
+	case KindNumber, KindLOB, KindBool:
 		switch {
 		case a.num < b.num:
 			return -1, true
@@ -27,21 +27,11 @@ func Compare(a, b Value) (int, bool) {
 		return 0, true
 	case KindString:
 		return strings.Compare(a.str, b.str), true
-	case KindBool:
-		switch {
-		case !a.b && b.b:
-			return -1, true
-		case a.b && !b.b:
-			return 1, true
-		}
-		return 0, true
 	case KindArray:
-		n := len(a.arr)
-		if len(b.arr) < n {
-			n = len(b.arr)
-		}
+		ae, be := a.obj.Attrs, b.obj.Attrs
+		n := min(len(ae), len(be))
 		for i := 0; i < n; i++ {
-			c, ok := Compare(a.arr[i], b.arr[i])
+			c, ok := Compare(ae[i], be[i])
 			if !ok {
 				return 0, false
 			}
@@ -50,9 +40,9 @@ func Compare(a, b Value) (int, bool) {
 			}
 		}
 		switch {
-		case len(a.arr) < len(b.arr):
+		case len(ae) < len(be):
 			return -1, true
-		case len(a.arr) > len(b.arr):
+		case len(ae) > len(be):
 			return 1, true
 		}
 		return 0, true
@@ -90,23 +80,13 @@ func Identical(a, b Value) bool {
 	if a.kind != b.kind {
 		return false
 	}
-	if a.kind == KindObject {
+	if a.kind == KindObject || a.kind == KindArray {
+		// A VARRAY is an untyped Object: its elements are the attributes.
 		if !strings.EqualFold(a.obj.TypeName, b.obj.TypeName) || len(a.obj.Attrs) != len(b.obj.Attrs) {
 			return false
 		}
 		for i := range a.obj.Attrs {
 			if !Identical(a.obj.Attrs[i], b.obj.Attrs[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if a.kind == KindArray {
-		if len(a.arr) != len(b.arr) {
-			return false
-		}
-		for i := range a.arr {
-			if !Identical(a.arr[i], b.arr[i]) {
 				return false
 			}
 		}
@@ -130,4 +110,25 @@ func Less(a, b Value) bool {
 	}
 	c, ok := Compare(a, b)
 	return ok && c < 0
+}
+
+// CoerceKind returns the value of kind k that v equals under SQL
+// comparison, and false when there is none. A value already of kind k is
+// itself. BOOLEAN and NUMBER are the one pair that cross: TRUE equals 1
+// and FALSE equals 0, so a BOOLEAN always has a NUMBER and only a NUMBER
+// 0 or 1 has a BOOLEAN. NULL equals nothing. Predicates such as
+// Contains(...) = 1 compare a BOOLEAN with a NUMBER, and an index probe
+// must find exactly the keys such a predicate accepts.
+func CoerceKind(v Value, k Kind) (Value, bool) {
+	switch {
+	case v.kind == KindNull:
+		return Value{}, false
+	case v.kind == k:
+		return v, true
+	case v.kind == KindBool && k == KindNumber:
+		return Num(v.num), true
+	case v.kind == KindNumber && k == KindBool && (v.num == 0 || v.num == 1):
+		return Bool(v.num == 1), true
+	}
+	return Value{}, false
 }

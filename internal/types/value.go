@@ -90,13 +90,17 @@ type Object struct {
 }
 
 // Value is a single SQL value. The zero Value is NULL.
+//
+// A Value is 40 bytes, because scans build millions of them: num holds
+// a NUMBER, a LOB id, or a BOOLEAN as 1 (TRUE) or 0 (FALSE); obj holds
+// an OBJECT instance or, with an empty TypeName, a VARRAY's elements in
+// Attrs. The accessors hide both sharings, so Float of a BOOLEAN is 0
+// and Object of a VARRAY is nil.
 type Value struct {
 	kind Kind
 	num  float64
 	str  string
-	b    bool
 	obj  *Object
-	arr  []Value
 }
 
 // Null returns the SQL NULL value.
@@ -112,7 +116,12 @@ func Int(i int64) Value { return Value{kind: KindNumber, num: float64(i)} }
 func Str(s string) Value { return Value{kind: KindString, str: s} }
 
 // Bool returns a BOOLEAN value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // LOB returns a LOB locator value referencing the given LOB id.
 func LOB(id int64) Value { return Value{kind: KindLOB, num: float64(id)} }
@@ -124,7 +133,7 @@ func Obj(typeName string, attrs ...Value) Value {
 
 // Arr returns a VARRAY value with the given elements.
 func Arr(elems ...Value) Value {
-	return Value{kind: KindArray, arr: elems}
+	return Value{kind: KindArray, obj: &Object{Attrs: elems}}
 }
 
 // Kind reports the value's kind.
@@ -133,17 +142,23 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// Float returns the NUMBER payload; it is 0 for non-numbers.
-func (v Value) Float() float64 { return v.num }
+// Float returns the NUMBER payload (a LOB locator's id for a LOB); it is
+// 0 for the other kinds.
+func (v Value) Float() float64 {
+	if v.kind == KindBool {
+		return 0
+	}
+	return v.num
+}
 
-// Int64 returns the NUMBER payload truncated to an integer.
-func (v Value) Int64() int64 { return int64(v.num) }
+// Int64 returns Float truncated to an integer.
+func (v Value) Int64() int64 { return int64(v.Float()) }
 
 // Text returns the VARCHAR2 payload; it is "" for non-strings.
 func (v Value) Text() string { return v.str }
 
 // Truth returns the BOOLEAN payload; NULL and non-booleans are false.
-func (v Value) Truth() bool { return v.kind == KindBool && v.b }
+func (v Value) Truth() bool { return v.kind == KindBool && v.num != 0 }
 
 // LOBID returns the LOB locator id, or 0 if the value is not a LOB.
 func (v Value) LOBID() int64 {
@@ -167,7 +182,7 @@ func (v Value) Elems() []Value {
 	if v.kind != KindArray {
 		return nil
 	}
-	return v.arr
+	return v.obj.Attrs
 }
 
 // String renders the value for display (REPL output, errors, tests).
@@ -183,7 +198,7 @@ func (v Value) String() string {
 	case KindString:
 		return v.str
 	case KindBool:
-		if v.b {
+		if v.num != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -196,8 +211,8 @@ func (v Value) String() string {
 		}
 		return v.obj.TypeName + "(" + strings.Join(parts, ", ") + ")"
 	case KindArray:
-		parts := make([]string, len(v.arr))
-		for i, e := range v.arr {
+		parts := make([]string, len(v.obj.Attrs))
+		for i, e := range v.obj.Attrs {
 			parts[i] = e.String()
 		}
 		return "VARRAY(" + strings.Join(parts, ", ") + ")"
