@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS = repro/internal/txn repro/internal/storage repro/internal/engine repro/internal/extidx repro/internal/exec repro/internal/obs
 
-.PHONY: build vet lint test race crash fuzz check bench
+.PHONY: build vet lint test race crash fuzz check bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -45,10 +45,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/storage
 
 ## check: everything CI runs except the fuzz smoke
-check: build vet lint test race crash
+check: build vet lint test race crash bench-smoke
 
 ## bench: the root package's benchmarks, then the larger-than-cache
 ## full-scan query shapes (allocations per query reported)
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench=BenchmarkFullScan -benchmem ./internal/engine
+
+## bench-smoke: one iteration of each larger-than-cache full-scan shape,
+## so its result checks (COUNT/SUM and per-group sums against the loaded
+## data) and the eviction path run on every change
+bench-smoke:
+	$(GO) test -run '^$$' -bench=BenchmarkFullScan -benchtime 1x -benchmem ./internal/engine

@@ -135,7 +135,6 @@ type DB struct {
 	//vetx:lockorder engine.DB.walMu < storage.pagerShard.mu
 	//vetx:lockorder storage.pagerShard.mu < storage.WAL.gmu
 	//vetx:lockorder storage.pagerShard.mu < storage.Pager.conflictMu
-	//vetx:lockorder storage.pagerShard.mu < storage.FileBackend.mu
 	//vetx:lockorder storage.pagerShard.mu < storage.MemBackend.mu
 	//vetx:lockorder storage.Pager.allocMu < storage.FileBackend.mu
 	//vetx:lockorder storage.Pager.allocMu < storage.MemBackend.mu

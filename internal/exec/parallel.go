@@ -10,9 +10,12 @@
 // Chunk ownership across the worker/consumer handoff follows one rule,
 // statically checked by the vetx chunkalias analyzer's send rule: a
 // chunk sent on the exchange channel must be freshly allocated by the
-// sender, which never touches it again. Because rows appended to a
-// chunk never alias chunk-owned storage (the PR-5 batch contract), the
-// receiving goroutine may keep the rows without copying.
+// sender, which never touches it again. The rows a morsel pipeline
+// produces are valid only until its next NextBatch (the Chunk
+// contract), and the worker calls it again while the consumer still
+// reads the last batch, so the worker copies each batch's rows into one
+// fresh slab (keepRows) before the send. The consumer then owns the
+// rows and may keep them.
 package exec
 
 import (
@@ -96,8 +99,8 @@ type Exchange struct {
 }
 
 // NextBatch implements Iterator. The received chunk's slices are
-// appended into c; the sender allocated the chunk for this handoff and
-// has dropped it, so no copy of the rows is needed.
+// appended into c; the sender allocated the chunk and copied its rows
+// for this handoff and has dropped both, so no further copy is needed.
 func (e *Exchange) NextBatch(c *Chunk) error {
 	c.Reset()
 	if e.sticky != nil {
@@ -206,6 +209,9 @@ func (e *Exchange) runMorsel(it Iterator, node *obs.OpNode) error {
 		}
 		node.Rows += int64(ck.Len())
 		node.Batches++
+		// The morsel may reuse the rows' storage on its next call, while
+		// the consumer still holds this batch.
+		ck.Rows = keepRows(ck.Rows[:0], ck.Rows)
 		// The handoff is the worker's idle time: with a slow consumer the
 		// bounded channel fills and the send blocks. Every send is timed
 		// (per-chunk, so the cost is amortized over the batch) — the class

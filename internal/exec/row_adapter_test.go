@@ -1,5 +1,7 @@
 package exec
 
+import "slices"
+
 // RowAdapter exposes a batch iterator one row at a time. It is the
 // reference side of the row-vs-batch parity property: it buffers one
 // chunk and publishes each row's ancillary value as the row is handed
@@ -16,7 +18,8 @@ type RowAdapter struct {
 	done bool
 }
 
-// Next returns the next row, or (nil, nil) at end of stream.
+// Next returns the next row, or (nil, nil) at end of stream. The row is
+// valid until the adapter pulls its child's next batch.
 func (a *RowAdapter) Next() (Row, error) {
 	for {
 		if a.buf != nil && a.pos < a.buf.Len() {
@@ -44,7 +47,8 @@ func (a *RowAdapter) Next() (Row, error) {
 
 // drainRows pulls every row of it through a RowAdapter with the given
 // chunk size and closes the iterator. Parity tests compare it against
-// Drain.
+// Drain. A row is valid only until the adapter's next pull from its
+// child, so each kept row is copied.
 func drainRows(it Iterator, batch int) ([]Row, error) {
 	defer it.Close()
 	a := &RowAdapter{Child: it, BatchSize: batch}
@@ -57,6 +61,6 @@ func drainRows(it Iterator, batch int) ([]Row, error) {
 		if r == nil {
 			return out, nil
 		}
-		out = append(out, r)
+		out = append(out, slices.Clone(r))
 	}
 }

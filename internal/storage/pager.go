@@ -107,11 +107,15 @@ func (m *MemBackend) Sync() error { return nil }
 func (m *MemBackend) Close() error { return nil }
 
 // FileBackend is a page space stored in a single operating-system file,
-// page i at byte offset i*PageSize.
+// page i at byte offset i*PageSize. Reads and writes are positional and
+// take no backend lock, so misses on different pool shards reach the
+// file concurrently; the pool's shard latch already orders I/O on any
+// one page. mu serializes only Allocate, which publishes the grown size
+// through n after the new page's zeroes are written.
 type FileBackend struct {
 	mu sync.Mutex
 	f  *os.File
-	n  PageID
+	n  atomic.Uint32 // pages in the file
 }
 
 // OpenFileBackend opens (creating if needed) a file-backed page space.
@@ -129,14 +133,14 @@ func OpenFileBackend(path string) (*FileBackend, error) {
 			fmt.Errorf("storage: %s has size %d, not a multiple of the page size", path, st.Size()),
 			f.Close())
 	}
-	return &FileBackend{f: f, n: PageID(st.Size() / PageSize)}, nil
+	fb := &FileBackend{f: f}
+	fb.n.Store(uint32(st.Size() / PageSize))
+	return fb, nil
 }
 
 // ReadPage implements Backend.
 func (fb *FileBackend) ReadPage(id PageID, buf []byte) error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if id >= fb.n {
+	if id >= fb.NumPages() {
 		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
 	_, err := fb.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
@@ -145,9 +149,7 @@ func (fb *FileBackend) ReadPage(id PageID, buf []byte) error {
 
 // WritePage implements Backend.
 func (fb *FileBackend) WritePage(id PageID, buf []byte) error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if id >= fb.n {
+	if id >= fb.NumPages() {
 		return fmt.Errorf("storage: write of unallocated page %d", id)
 	}
 	_, err := fb.f.WriteAt(buf[:PageSize], int64(id)*PageSize)
@@ -158,7 +160,7 @@ func (fb *FileBackend) WritePage(id PageID, buf []byte) error {
 func (fb *FileBackend) Allocate() (PageID, error) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	id := fb.n
+	id := fb.NumPages()
 	if id == InvalidPage {
 		return 0, fmt.Errorf("storage: page space exhausted")
 	}
@@ -166,16 +168,12 @@ func (fb *FileBackend) Allocate() (PageID, error) {
 	if _, err := fb.f.WriteAt(zero[:], int64(id)*PageSize); err != nil {
 		return 0, err
 	}
-	fb.n++
+	fb.n.Store(uint32(id) + 1)
 	return id, nil
 }
 
 // NumPages implements Backend.
-func (fb *FileBackend) NumPages() PageID {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	return fb.n
-}
+func (fb *FileBackend) NumPages() PageID { return PageID(fb.n.Load()) }
 
 // Sync implements Backend.
 func (fb *FileBackend) Sync() error { return fb.f.Sync() }
@@ -594,10 +592,11 @@ func (p *Pager) Fetch(id PageID) (*Page, error) {
 		return pg, nil
 	}
 	sh.misses.Inc()
-	if err := p.evictIfFullLocked(sh); err != nil {
+	buf, err := p.evictIfFullLocked(sh)
+	if err != nil {
 		return nil, err
 	}
-	pg := &Page{ID: id, Data: make([]byte, PageSize)}
+	pg := &Page{ID: id, Data: buf}
 	pg.pins.Store(1)
 	pg.ref.Store(true)
 	if err := p.backend.ReadPage(id, pg.Data); err != nil {
@@ -627,10 +626,12 @@ func (p *Pager) NewPage() (*Page, error) {
 	p.allocs.Inc()
 	sh := p.lockShard(p.shardIndex(id))
 	defer sh.mu.Unlock()
-	if err := p.evictIfFullLocked(sh); err != nil {
+	buf, err := p.evictIfFullLocked(sh)
+	if err != nil {
 		return nil, err
 	}
-	pg := &Page{ID: id, Data: make([]byte, PageSize), dirty: true}
+	clear(buf)
+	pg := &Page{ID: id, Data: buf, dirty: true}
 	pg.pins.Store(1)
 	pg.ref.Store(true)
 	if w := p.writer.Load(); !w.undo {
@@ -1074,6 +1075,13 @@ func (p *Pager) removeLocked(sh *pagerShard, pg *Page) {
 // unreferenced, unpinned (and, under no-steal, clean) frame is the
 // victim, written back if dirty. Caller holds sh.mu exclusively.
 //
+// It returns the PageSize buffer the caller's new frame should use: the
+// victim's, so a full shard's miss allocates no memory and frame memory
+// stays exactly resident frames × PageSize, or a fresh one while the
+// shard is below its target or must grow. The victim's Page keeps no
+// reference to the buffer (Data is nil), so a use after unpin panics
+// instead of reading the next page's bytes.
+//
 // When no victim exists the shard grows past its target instead of
 // failing. If the blocker is dirt — unpinned frames that no-steal
 // forbids stealing — growth is not silent: a CheckpointBackpressure
@@ -1081,9 +1089,9 @@ func (p *Pager) removeLocked(sh *pagerShard, pg *Page) {
 // checkpoint can clean those frames and shrink the pool again. (This
 // replaces the old single-pool pager's unbounded "grows until the next
 // FlushAll" note.)
-func (p *Pager) evictIfFullLocked(sh *pagerShard) error {
+func (p *Pager) evictIfFullLocked(sh *pagerShard) ([]byte, error) {
 	if len(sh.frames) < p.shardCap {
-		return nil
+		return make([]byte, PageSize), nil
 	}
 	noSteal := p.noSteal.Load()
 	dirtyBlocked := false
@@ -1107,14 +1115,16 @@ func (p *Pager) evictIfFullLocked(sh *pagerShard) error {
 		}
 		if pg.dirty {
 			if err := p.backend.WritePage(pg.ID, pg.Data); err != nil {
-				return err
+				return nil, err
 			}
 			sh.writes.Inc()
 			p.dirtyPages.Add(-1)
 		}
 		p.removeLocked(sh, pg)
 		sh.evictions.Inc()
-		return nil
+		buf := pg.Data
+		pg.Data = nil
+		return buf, nil
 	}
 	if dirtyBlocked {
 		// All-dirty shard under no-steal: grow, but loudly — the
@@ -1124,5 +1134,5 @@ func (p *Pager) evictIfFullLocked(sh *pagerShard) error {
 			(*fn)()
 		}
 	}
-	return nil // all pinned (or all dirty under no-steal); allow growth
+	return make([]byte, PageSize), nil // all pinned (or all dirty under no-steal); allow growth
 }

@@ -18,10 +18,14 @@ import (
 // capturing one in a closure that is itself stored, or sending one on a
 // channel (the exchange-handoff rule: a chunk crossing a channel must be
 // freshly allocated by the sender, never the caller-owned parameter the
-// consumer is about to Reset). Retaining individual Row values is legal
-// (chunks never reuse row storage), so c.Rows[i] and
-// append(dst, c.Rows...) are fine; so are writes INTO the chunk
-// (c.Rows = ... is how producers fill it).
+// consumer is about to Reset). Element reads and copies such as
+// c.Rows[i] and append(dst, c.Rows...) are not findings, and neither are
+// writes INTO the chunk (c.Rows = ... is how producers fill it). A row
+// itself is valid only until its producer's next NextBatch, because
+// producers recycle row storage; this analyzer does not check that
+// lifetime. The invariants build does: a producer poisons a recycled
+// slab, and exec's TestRowsValidUntilNextBatch runs every producer
+// under each consumer that keeps rows.
 //
 // The check is syntactic and applies to any function with a *Chunk
 // parameter, so cartridge packages implementing batch iterators get it
