@@ -13,7 +13,8 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags invariants ./...
 
-## lint: run the codebase-specific static analyzers (cmd/vetx)
+## lint: print the codebase-specific static analyzers' findings (cmd/vetx);
+## the gate is TestRepoClean in `make test`, which runs the same suite
 lint:
 	$(GO) run ./cmd/vetx ./...
 
@@ -44,8 +45,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 20s ./internal/sql
 	$(GO) test -run '^$$' -fuzz FuzzReplayWAL -fuzztime 20s -fuzzminimizetime 2s ./internal/storage
 
-## check: everything CI runs except the fuzz smoke
-check: build vet lint test race crash bench-smoke
+## check: everything CI runs except the fuzz smoke (vetx runs inside test)
+check: build vet test race crash bench-smoke
 
 ## bench: the root package's benchmarks, then the larger-than-cache
 ## full-scan query shapes (allocations per query reported)

@@ -1,15 +1,16 @@
 // Command vetx runs the repo's codebase-specific static analyzers (see
 // internal/vetx): the per-function contract checks plus the
-// interprocedural lock-order, callback-under-lock and chunk-aliasing
-// analyses. Usage:
+// interprocedural lock-order and callback-under-lock analyses. Usage:
 //
 //	go run ./cmd/vetx ./...
 //	go run ./cmd/vetx -list
 //	go run ./cmd/vetx ./internal/storage ./internal/btree/...
 //
-// Exit status contract (CI and the Makefile `lint` target depend on it):
-// 0 = clean, 1 = at least one finding survived suppression, 2 = the
-// packages could not be loaded or type-checked.
+// Exit status: 0 = clean, 1 = at least one finding survived
+// suppression, 2 = the packages could not be loaded or type-checked.
+// The gate is TestRepoClean in internal/vetx, which runs the same suite
+// over the module inside `go test ./...`; this command (`make lint`)
+// prints the findings.
 package main
 
 import (

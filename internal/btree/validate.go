@@ -18,9 +18,9 @@ import (
 //   - every node's serialized size fits in a page.
 //
 // Empty leaves are legal: deletion is logical and an emptied node stays
-// linked for reuse (see the package comment). Validate is the dynamic
-// complement of the vetx static analyzers; the `invariants` build tag
-// runs it after every mutation.
+// linked for reuse (see the package comment). Tree structure is beyond
+// any static check, so the `invariants` build tag runs Validate after
+// every mutation.
 func (t *BTree) Validate() error {
 	leafDepth := -1
 	var walk func(id storage.PageID, depth int, lo, hi []byte) error

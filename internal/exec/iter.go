@@ -514,6 +514,7 @@ type rowSlab struct {
 	vals  []types.Value // the batch's values, row after row
 	rows  []slabRow     // the added rows, in add order
 	srids []storage.RID // fetch: the batch's RIDs
+	perm  []int         // fetch: the batch's page-sorted visiting order
 }
 
 // slabRow is one added row: where it ends in the slab and where its
@@ -567,13 +568,14 @@ func (b *rowSlab) fetch(h *storage.Heap, rids []int64, cols []bool, c *Chunk) er
 		return nil
 	}
 	b.srids = slices.Grow(b.srids[:0], len(rids))
+	b.perm = slices.Grow(b.perm[:0], len(rids))
 	b.rows = slices.Grow(b.rows, len(rids))
 	for _, r := range rids {
 		b.srids = append(b.srids, storage.RIDFromInt64(r))
 	}
 	// GetBatchFunc visits in page order; each row is filed under its
 	// input position.
-	if err := h.GetBatchFunc(b.srids, func(i int, img []byte) error {
+	if err := h.GetBatchFunc(b.srids, b.perm, func(i int, img []byte) error {
 		return b.add(img, rids[i], cols, i)
 	}); err != nil {
 		return err

@@ -7,15 +7,18 @@
 // goroutine, so everything above the exchange stays a plain serial
 // iterator.
 //
-// Chunk ownership across the worker/consumer handoff follows one rule,
-// statically checked by the vetx chunkalias analyzer's send rule: a
-// chunk sent on the exchange channel must be freshly allocated by the
+// Chunk ownership across the worker/consumer handoff follows one rule:
+// a chunk sent on the exchange channel is freshly allocated by the
 // sender, which never touches it again. The rows a morsel pipeline
 // produces are valid only until its next NextBatch (the Chunk
 // contract), and the worker calls it again while the consumer still
 // reads the last batch, so the worker copies each batch's rows into one
 // fresh slab (keepRows) before the send. The consumer then owns the
-// rows and may keep them.
+// rows and may keep them. Both halves are held by tests, not by vetx
+// (the chunk here is a local, outside chunkalias's reach): a worker that
+// reuses its chunk fails the parallel parity tests under plain go test,
+// and one that sends rows without keepRows fails
+// TestRowsValidUntilNextBatch.
 package exec
 
 import (

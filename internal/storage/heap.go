@@ -1,9 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RID identifies a row in a heap: the page it lives on and its slot. RIDs
@@ -313,21 +314,26 @@ func (h *Heap) Get(rid RID) (row []byte, err error) {
 // pinned once per run of RIDs on it instead of once per row; fn is
 // therefore invoked in page order, not input order — callers restore
 // input order by writing into slot i. The image passed to fn is only
-// valid for the duration of the call (it aliases a pinned page).
-func (h *Heap) GetBatchFunc(rids []RID, fn func(i int, img []byte) error) error {
+// valid for the duration of the call (it aliases a pinned page). perm
+// is caller-owned scratch for the permutation: when its capacity covers
+// the batch, the read allocates nothing.
+func (h *Heap) GetBatchFunc(rids []RID, perm []int, fn func(i int, img []byte) error) error {
 	if len(rids) == 0 {
 		return nil
 	}
-	perm := make([]int, len(rids))
+	if cap(perm) < len(rids) {
+		perm = make([]int, len(rids))
+	}
+	perm = perm[:len(rids)]
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		ra, rb := rids[perm[a]], rids[perm[b]]
-		if ra.Page != rb.Page {
-			return ra.Page < rb.Page
+	slices.SortFunc(perm, func(a, b int) int {
+		ra, rb := rids[a], rids[b]
+		if c := cmp.Compare(ra.Page, rb.Page); c != 0 {
+			return c
 		}
-		return ra.Slot < rb.Slot
+		return cmp.Compare(ra.Slot, rb.Slot)
 	})
 	for k := 0; k < len(perm); {
 		page := rids[perm[k]].Page
@@ -365,7 +371,7 @@ func (h *Heap) GetBatchFunc(rids []RID, fn func(i int, img []byte) error) error 
 // using the page-sorted batched read.
 func (h *Heap) GetBatch(rids []RID) ([][]byte, error) {
 	out := make([][]byte, len(rids))
-	err := h.GetBatchFunc(rids, func(i int, img []byte) error {
+	err := h.GetBatchFunc(rids, nil, func(i int, img []byte) error {
 		out[i] = append([]byte(nil), img...)
 		return nil
 	})

@@ -8,8 +8,10 @@ import (
 // Runtime structural invariants. validatePage is always compiled (tests
 // call it directly); the mutation hooks in page.go and the Close-time
 // pin-leak check in pager.go run it only when the `invariants` build tag
-// sets invariantsEnabled. These are the dynamic half of the contracts the
-// static analyzers in internal/vetx enforce at compile time.
+// sets invariantsEnabled. They see what a static check cannot, page
+// structure and the pins actually leaked on the paths tests take; the
+// vetx pinbalance analyzer checks pin pairing on every path, those no
+// test takes included.
 
 // validatePage checks the slotted-page structural invariants:
 //

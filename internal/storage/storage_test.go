@@ -463,7 +463,7 @@ func TestHeapGetBatch(t *testing.T) {
 	}
 
 	got := make([][]byte, len(req))
-	if err := h.GetBatchFunc(batch, func(i int, img []byte) error {
+	if err := h.GetBatchFunc(batch, nil, func(i int, img []byte) error {
 		if got[i] != nil {
 			return fmt.Errorf("index %d delivered twice", i)
 		}
@@ -512,7 +512,7 @@ func TestHeapGetBatch(t *testing.T) {
 	}
 
 	// Empty batch is a no-op.
-	if err := h.GetBatchFunc(nil, func(int, []byte) error {
+	if err := h.GetBatchFunc(nil, nil, func(int, []byte) error {
 		t.Error("callback on empty batch")
 		return nil
 	}); err != nil {
@@ -523,7 +523,7 @@ func TestHeapGetBatch(t *testing.T) {
 	if err := h.Delete(rids[30]); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.GetBatchFunc([]RID{rids[1], rids[30]}, func(int, []byte) error { return nil }); err == nil {
+	if err := h.GetBatchFunc([]RID{rids[1], rids[30]}, nil, func(int, []byte) error { return nil }); err == nil {
 		t.Error("batch read of deleted row succeeded")
 	}
 	if pinned := p.PinnedPages(); len(pinned) != 0 {

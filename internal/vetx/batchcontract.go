@@ -15,6 +15,14 @@ import (
 // through the batched read. (That every operator speaks the chunk
 // protocol needs no analyzer: exec.Iterator is NextBatch + Close, so the
 // compiler rejects an operator without NextBatch.)
+//
+// Only this analyzer catches the defect outside RIDFetch's allocation
+// test: rows come out right, just with more pins. Seeded in real code,
+// each passes go test and -race -tags invariants: DomainScan reading
+// each fetched RID with d.Heap.Get, and RIDFetch reading batches of at
+// most four RIDs with f.Heap.Get. The receiver is matched by name, so
+// a per-row loop over a heap held in a variable named h goes unflagged
+// (in rowSlab.fetch TestRIDFetchMaskedAllocs catches it instead).
 func Batchcontract() *Analyzer {
 	return &Analyzer{
 		Name: "batchcontract",

@@ -18,6 +18,13 @@ import (
 //   - any method whose first parameter is an extidx.Server (i.e. an
 //     ODCIIndex-style callback entry point) must declare error as its
 //     final result.
+//
+// Only this analyzer catches a panic on a callback's error path, since
+// no test drives those paths. Seeded in real code, each passes go test
+// and -race -tags invariants: a panic in place of the chem cartridge's
+// duplicate-index error in ODCIIndexCreate, of the text cartridge's
+// pure-negation error, and of its Contains(...) = 0 error in
+// ODCIIndexStart.
 func CallbackContract() *Analyzer {
 	return &Analyzer{
 		Name: "callbackcontract",

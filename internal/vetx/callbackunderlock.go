@@ -17,6 +17,12 @@ import (
 // that took the lock is still flagged, with the full hold chain printed.
 // `go` statements break propagation (the goroutine does not inherit the
 // caller's locks).
+//
+// Only this analyzer catches a callback run under walMu: no current
+// cartridge callback commits, so nothing deadlocks and commits merely
+// queue behind user code. Seeded in real code, each passes go test and
+// -race -tags invariants: ODCIIndexInsert called under walMu in
+// engine's insert path, and ODCIIndexTruncate under walMu in TRUNCATE.
 func CallbackUnderLock() *Analyzer {
 	return &Analyzer{
 		Name:       "callbackunderlock",

@@ -29,7 +29,14 @@ import (
 //
 // The check is syntactic and applies to any function with a *Chunk
 // parameter, so cartridge packages implementing batch iterators get it
-// too.
+// too. A chunk held in a local, such as the Exchange worker's, is out of
+// its reach; the parallel parity tests hold that handoff instead.
+//
+// Only this analyzer catches a retained chunk that today's plans happen
+// not to expose. Seeded in real code: exec.Instrument keeping the
+// caller's chunk to count its rows at the next NextBatch or Close passes
+// go test and -race -tags invariants; its counts stay right only while
+// no consumer resets or truncates the chunk between the calls.
 func ChunkAlias() *Analyzer {
 	return &Analyzer{
 		Name: "chunkalias",

@@ -20,6 +20,13 @@ import (
 // loops widen once, and a return (or function-end fall-through) with a
 // non-empty, non-deferred held set is reported. Locks released inside a
 // non-deferred closure are not credited to the enclosing function.
+//
+// Only this analyzer catches an unlock dropped on a branch no test
+// takes. Seeded in real code: removing the m.mu.Unlock() before
+// ODCIIndexCreate's duplicate-index return in internal/cartridge/chem
+// passes go test, -race and -tags invariants, because no test creates
+// a chem index twice. (An unlock dropped on the failed-fsync path of
+// engine's logCommit, by contrast, hangs the crash matrix.)
 func LockBalance() *Analyzer {
 	return &Analyzer{
 		Name: "lockbalance",

@@ -29,6 +29,16 @@ import (
 // it. Such sites must time the interval through
 // obs.WaitStats.StartWait/Done (whose Done returns the nanos for any
 // legacy gauge that still wants them).
+//
+// Only this analyzer catches either defect where the suite does not
+// look. Seeded in real code: ConflictStats.aborts as a bare int64 with
+// c.aborts++ passes go test and -race -tags invariants (the race
+// detector never sees two unsynchronized aborts), and the pager's
+// contended shared-latch
+// path timing its wait by hand into lockWaitNanos, skipping
+// WaitPagerLatch, passes both as well. A bare counter that every
+// exchange worker bumps (ExecStats.morselsDispatched) is caught by
+// -race.
 func Obscounter() *Analyzer {
 	return &Analyzer{
 		Name:      "obscounter",

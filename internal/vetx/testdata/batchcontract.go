@@ -4,8 +4,10 @@ package exec
 
 type heapT struct{}
 
-func (heapT) Get(rid int64) ([]byte, error)                               { return nil, nil }
-func (heapT) GetBatchFunc(rids []int64, fn func(int, []byte) error) error { return nil }
+func (heapT) Get(rid int64) ([]byte, error) { return nil, nil }
+func (heapT) GetBatchFunc(rids []int64, perm []int, fn func(int, []byte) error) error {
+	return nil
+}
 
 type cacheT struct{}
 
@@ -39,7 +41,7 @@ func singleFetch(op fetchOp, rid int64) ([]byte, error) { return op.Heap.Get(rid
 // batchedFetch uses the page-sorted batch read inside its loop — clean.
 func batchedFetch(heap heapT, batches [][]int64) error {
 	for _, rids := range batches {
-		if err := heap.GetBatchFunc(rids, func(i int, img []byte) error { return nil }); err != nil {
+		if err := heap.GetBatchFunc(rids, nil, func(i int, img []byte) error { return nil }); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,8 @@
 // Fixture for unused-suppression detection. One directive earns its keep
 // (it hides a real lockbalance finding), one names a running analyzer but
-// suppresses nothing, and one names an analyzer outside the run set (not
-// judged: a partial run can't know whether it would have matched).
+// suppresses nothing, one names an analyzer outside the run set (not
+// judged: a partial run can't know whether it would have matched), and
+// one names an analyzer the suite does not have (always reported).
 package supfix
 
 import "sync"
@@ -29,3 +30,8 @@ func (t *T) balanced() {
 //
 //vetx:ignore erraudit -- fixture: names an analyzer outside the run set
 func (t *T) other() {}
+
+// unknown: no analyzer has this name, whatever the run set.
+//
+//vetx:ignore nosuchanalyzer -- fixture: UNKNOWN analyzer name
+func (t *T) unknown() {}

@@ -2,9 +2,10 @@
 // a stdlib-only (go/parser + go/ast + go/types) driver plus analyzers that
 // mechanically enforce the correctness protocols every cartridge depends
 // on — the lock discipline, the pager pin/unpin protocol, the ODCIIndex
-// callback error contract, and the storage layering rules. The same
-// contracts are checked dynamically by the `invariants` build tag (see
-// internal/storage and internal/btree); vetx is the static half.
+// callback error contract, and the storage layering rules. The
+// `invariants` build tag re-checks some of them at run time, but only on
+// the paths the tests take; each analyzer's doc comment names a seeded
+// defect that the tests, -race and -tags invariants all missed.
 //
 // Run it as `go run ./cmd/vetx ./...`. A finding can be suppressed with an
 // inline directive on the offending line or the line above it:
@@ -12,8 +13,9 @@
 //	//vetx:ignore <analyzer>[,<analyzer>...] -- <justification>
 //
 // The justification is mandatory; a directive without one is itself
-// reported. See DESIGN.md "Static analysis & invariants" for the
-// contracts each analyzer enforces.
+// reported, and so is one naming an analyzer the suite does not have.
+// See DESIGN.md "Static analysis & invariants" for the contracts each
+// analyzer enforces.
 package vetx
 
 import (
@@ -195,8 +197,9 @@ func (s *suppressions) unused(analyzers []*Analyzer) []Finding {
 
 // collect scans file comments for //vetx:ignore directives. A directive
 // suppresses findings on its own line (trailing comment) and on the
-// following line (standalone comment above the code). Malformed directives
-// are returned as findings.
+// following line (standalone comment above the code). Malformed directives,
+// and directives naming an analyzer the suite does not have, are returned
+// as findings.
 func (s *suppressions) collect(pkg *Package) []Finding {
 	var malformed []Finding
 	for _, file := range pkg.Files {
@@ -218,8 +221,16 @@ func (s *suppressions) collect(pkg *Package) []Finding {
 				}
 				set := map[string]bool{}
 				for _, n := range strings.Split(names, ",") {
-					if n = strings.TrimSpace(n); n != "" {
-						set[n] = true
+					if n = strings.TrimSpace(n); n == "" {
+						continue
+					}
+					set[n] = true
+					if n != "all" && !isAnalyzer(n) {
+						malformed = append(malformed, Finding{
+							Analyzer: "vetx",
+							Pos:      pos,
+							Message:  fmt.Sprintf("vetx:ignore directive names unknown analyzer %q", n),
+						})
 					}
 				}
 				if len(set) == 0 {
@@ -245,6 +256,16 @@ func (s *suppressions) collect(pkg *Package) []Finding {
 		}
 	}
 	return malformed
+}
+
+// isAnalyzer reports whether the full suite has an analyzer called name.
+func isAnalyzer(name string) bool {
+	for _, an := range DefaultAnalyzers() {
+		if an.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -255,37 +255,43 @@ func TestChunkAlias(t *testing.T) {
 }
 
 // TestUnusedSuppression: a directive that suppresses nothing is itself a
-// finding — but only when every analyzer it names took part in the run.
+// finding — but only when every analyzer it names took part in the run —
+// and so is a directive naming an analyzer the suite does not have.
 func TestUnusedSuppression(t *testing.T) {
 	pkg := parseFixture(t, "repro/internal/supfix", "unusedsuppression.go")
-	var got []Finding
+	var unused, unknown []Finding
 	for _, f := range Run([]*Package{pkg}, []*Analyzer{LockBalance()}) {
-		if f.Analyzer == "vetx" && strings.Contains(f.Message, "suppresses nothing") {
-			got = append(got, f)
+		switch {
+		case f.Analyzer == "vetx" && strings.Contains(f.Message, "suppresses nothing"):
+			unused = append(unused, f)
+		case f.Analyzer == "vetx" && strings.Contains(f.Message, "unknown analyzer"):
+			unknown = append(unknown, f)
+		default:
+			t.Errorf("unexpected finding: %s", f)
 		}
 	}
-	if len(got) != 1 {
-		t.Fatalf("want exactly one unused-suppression finding, got %v", got)
+	if len(unused) != 1 || unused[0].Pos.Line != markerLine(t, pkg, "UNUSED") {
+		t.Errorf("want one unused-suppression finding at line %d, got %v", markerLine(t, pkg, "UNUSED"), unused)
 	}
-	if got[0].Pos.Line != unusedSuppressionLine(t, pkg) {
-		t.Errorf("unused-suppression finding at line %d, want %d", got[0].Pos.Line, unusedSuppressionLine(t, pkg))
+	if len(unknown) != 1 || unknown[0].Pos.Line != markerLine(t, pkg, "UNKNOWN") {
+		t.Errorf("want one unknown-analyzer finding at line %d, got %v", markerLine(t, pkg, "UNKNOWN"), unknown)
 	}
 }
 
-// unusedSuppressionLine finds the fixture line marked "UNUSED" so the test
-// doesn't hard-code line numbers.
-func unusedSuppressionLine(t *testing.T, pkg *Package) int {
+// markerLine finds the fixture line carrying marker so the test doesn't
+// hard-code line numbers.
+func markerLine(t *testing.T, pkg *Package, marker string) int {
 	t.Helper()
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if strings.Contains(c.Text, "UNUSED") {
+				if strings.Contains(c.Text, marker) {
 					return pkg.Fset.Position(c.Pos()).Line
 				}
 			}
 		}
 	}
-	t.Fatal("no UNUSED marker in fixture")
+	t.Fatalf("no %s marker in fixture", marker)
 	return 0
 }
 
