@@ -7,8 +7,6 @@
 package bitmapidx
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -227,78 +225,8 @@ func AndNot(a, b *Bitmap) *Bitmap {
 	return out
 }
 
-// Serialize encodes the bitmap for storage inside a heap or LOB.
-func (b *Bitmap) Serialize() []byte {
-	out := binary.AppendUvarint(nil, uint64(len(b.his)))
-	for i, hi := range b.his {
-		out = binary.AppendUvarint(out, hi)
-		c := b.cons[i]
-		if c.bitset != nil {
-			out = append(out, 1)
-			for _, w := range c.bitset {
-				out = binary.BigEndian.AppendUint64(out, w)
-			}
-		} else {
-			out = append(out, 0)
-			out = binary.AppendUvarint(out, uint64(len(c.array)))
-			for _, lo := range c.array {
-				out = binary.BigEndian.AppendUint16(out, lo)
-			}
-		}
-	}
-	return out
-}
-
-// Deserialize decodes a bitmap produced by Serialize.
-func Deserialize(src []byte) (*Bitmap, error) {
-	b := New()
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 {
-		return nil, fmt.Errorf("bitmapidx: corrupt header")
-	}
-	off := sz
-	for i := uint64(0); i < n; i++ {
-		hi, sz := binary.Uvarint(src[off:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("bitmapidx: corrupt container key")
-		}
-		off += sz
-		if off >= len(src) {
-			return nil, fmt.Errorf("bitmapidx: truncated container")
-		}
-		kind := src[off]
-		off++
-		c := &container{}
-		if kind == 1 {
-			if len(src) < off+containerSpan/8 {
-				return nil, fmt.Errorf("bitmapidx: truncated bitset")
-			}
-			c.bitset = make([]uint64, containerSpan/64)
-			for w := range c.bitset {
-				c.bitset[w] = binary.BigEndian.Uint64(src[off:])
-				off += 8
-			}
-		} else {
-			cnt, sz := binary.Uvarint(src[off:])
-			if sz <= 0 || len(src) < off+sz+int(cnt)*2 {
-				return nil, fmt.Errorf("bitmapidx: truncated array")
-			}
-			off += sz
-			c.array = make([]uint16, cnt)
-			for j := range c.array {
-				c.array[j] = binary.BigEndian.Uint16(src[off:])
-				off += 2
-			}
-		}
-		b.his = append(b.his, hi)
-		b.cons = append(b.cons, c)
-	}
-	return b, nil
-}
-
 // Index is a bitmap index: one bitmap per distinct column value. It lives
-// in memory and is rebuilt from the base table on open; Serialize/
-// Deserialize support checkpointing it.
+// in memory only and is rebuilt from the base table on open.
 type Index struct {
 	maps map[string]*Bitmap // key: order-preserving encoded column value
 }
@@ -333,10 +261,3 @@ func (x *Index) Lookup(valueKey []byte) *Bitmap {
 
 // Cardinality returns the number of distinct values.
 func (x *Index) Cardinality() int { return len(x.maps) }
-
-// Each visits every (value key, bitmap) pair (persistence).
-func (x *Index) Each(fn func(key []byte, bm *Bitmap)) {
-	for k, bm := range x.maps {
-		fn([]byte(k), bm)
-	}
-}

@@ -1,7 +1,6 @@
 package bitmapidx
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -94,48 +93,6 @@ func TestSetOperations(t *testing.T) {
 		}
 		return true
 	})
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	b := New()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10000; i++ {
-		b.Add(uint64(rng.Intn(1 << 22)))
-	}
-	// Force one dense container too.
-	for i := uint64(0); i < 5000; i++ {
-		b.Add(1<<30 + i)
-	}
-	enc := b.Serialize()
-	dec, err := Deserialize(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Count() != b.Count() {
-		t.Fatalf("Count mismatch: %d vs %d", dec.Count(), b.Count())
-	}
-	want := b.Slice()
-	got := dec.Slice()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("position %d: %d vs %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestDeserializeCorrupt(t *testing.T) {
-	good := func() []byte {
-		b := New()
-		for i := uint64(0); i < 100; i++ {
-			b.Add(i * 3)
-		}
-		return b.Serialize()
-	}()
-	for cut := 1; cut < len(good); cut += 7 {
-		if _, err := Deserialize(good[:cut]); err == nil {
-			t.Errorf("truncated bitmap (len %d) deserialized", cut)
-		}
-	}
 }
 
 func TestQuickModelAgreement(t *testing.T) {

@@ -2,9 +2,11 @@ package chem
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/extidx"
 	"repro/internal/types"
 )
 
@@ -396,5 +398,126 @@ func TestChemFileStoreRollbackNeedsEvents(t *testing.T) {
 	}
 	if len(rs.Rows) != 0 {
 		t.Errorf("stale entries after evented rollback: %v", rs.Rows)
+	}
+}
+
+// TestChemFailedCreateCanBeRetried: a CREATE INDEX whose build fails on
+// a bad molecule leaves the cartridge able to create that index once the
+// row is gone, in both storage modes.
+func TestChemFailedCreateCanBeRetried(t *testing.T) {
+	for _, mode := range []string{"lob", "file"} {
+		t.Run(mode, func(t *testing.T) {
+			db, err := engine.Open(engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if _, err := Register(db); err != nil {
+				t.Fatal(err)
+			}
+			s := db.NewSession()
+			if err := Setup(s); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []string{
+				`CREATE TABLE mols(id NUMBER, mol VARCHAR2)`,
+				`INSERT INTO mols VALUES (1, 'CCO')`,
+				`INSERT INTO mols VALUES (2, '(C')`,
+			} {
+				if _, err := s.Exec(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ddl := `CREATE INDEX mols_c ON mols(mol) INDEXTYPE IS ChemIndexType`
+			if mode == "file" {
+				ddl += fmt.Sprintf(" PARAMETERS (':Storage file :Dir %s')", t.TempDir())
+			}
+			if _, err := s.Exec(ddl); err == nil || !strings.Contains(err.Error(), "branch before any atom") {
+				t.Fatalf("CREATE INDEX over a bad molecule: got %v, want the parse error", err)
+			}
+			if _, err := s.Exec(`DELETE FROM mols WHERE id = 2`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Exec(ddl); err != nil {
+				t.Fatalf("CREATE INDEX retry after the failed build: %v", err)
+			}
+			s.SetForcedPath(engine.ForceDomainScan)
+			rs, err := s.Query(`SELECT id FROM mols WHERE ChemExact(mol, 'OCC')`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs.Rows) != 1 || rs.Rows[0][0].Int64() != 1 {
+				t.Fatalf("lookup through the retried index = %v", rs.Rows)
+			}
+		})
+	}
+}
+
+// TestChemCreateRejectsDuplicate runs the duplicate-index branch of
+// Create. The engine's catalog refuses a second index of the same name
+// before the cartridge is called, so the test calls the method directly,
+// with a callback server for an index the cartridge already holds.
+func TestChemCreateRejectsDuplicate(t *testing.T) {
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	m, err := Register(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	if err := Setup(s); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`CREATE TABLE mols(id NUMBER, mol VARCHAR2)`,
+		`INSERT INTO mols VALUES (1, 'CCO')`,
+		`CREATE INDEX mols_c ON mols(mol) INDEXTYPE IS ChemIndexType`,
+	} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info := extidx.IndexInfo{IndexName: "MOLS_C", TableName: "MOLS", ColumnName: "MOL", ColumnKind: types.KindString}
+	err = m.Create(s.CallbackServer(extidx.ModeDefinition, "MOLS"), info)
+	if err == nil || !strings.Contains(err.Error(), "MOLS_C already exists") {
+		t.Fatalf("second Create of MOLS_C: got %v, want the duplicate-index error", err)
+	}
+	// The refused Create leaves the existing index serving scans.
+	s.SetForcedPath(engine.ForceDomainScan)
+	rs, err := s.Query(`SELECT id FROM mols WHERE ChemExact(mol, 'OCC')`)
+	if err != nil || len(rs.Rows) != 1 {
+		t.Fatalf("scan after the refused Create: %v rows, err %v", rs, err)
+	}
+}
+
+// TestChemFileStoreRollbackKeepsLaterRecords: with ':Events on', rolling
+// back an insert must not take out records another transaction appended
+// to the file store after it and committed.
+func TestChemFileStoreRollbackKeepsLaterRecords(t *testing.T) {
+	db, a := newChemDB(t, fmt.Sprintf(":Storage file :Dir %s :Events on", t.TempDir()))
+	b := db.NewSession()
+	for _, step := range []struct {
+		s *engine.Session
+		q string
+	}{
+		{a, `BEGIN`},
+		{a, `INSERT INTO compounds VALUES (6000, 'CCCCCCCCCC')`},
+		{b, `UPDATE compounds SET mol = 'CCCCCCCCCCC' WHERE id = 0`},
+		{a, `ROLLBACK`},
+	} {
+		if _, err := step.s.Exec(step.q); err != nil {
+			t.Fatalf("%s: %v", step.q, err)
+		}
+	}
+	b.SetForcedPath(engine.ForceDomainScan)
+	rs, err := b.Query(`SELECT id FROM compounds WHERE ChemExact(mol, 'CCCCCCCCCCC')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 1 || rs.Rows[0][0].Int64() != 0 {
+		t.Fatalf("committed update after another transaction's rollback = %v, want id 0", rs.Rows)
 	}
 }

@@ -208,11 +208,19 @@ func (m *Methods) idx(s extidx.Server, info extidx.IndexInfo) (*chemIdx, error) 
 }
 
 // Create implements ODCIIndexCreate: allocate the blob and bulk-load it
-// from the base table.
+// from the base table. The index is registered only once the build has
+// succeeded, so a failed build leaves nothing behind for a retry to trip
+// over.
 func (m *Methods) Create(s extidx.Server, info extidx.IndexInfo) error {
 	p, err := parseChemParams(info.Params)
 	if err != nil {
 		return err
+	}
+	m.mu.Lock()
+	_, dup := m.indexes[info.IndexName]
+	m.mu.Unlock()
+	if dup {
+		return fmt.Errorf("chem: index %s already exists", info.IndexName)
 	}
 	ci := &chemIdx{params: p}
 	if p.file {
@@ -230,13 +238,6 @@ func (m *Methods) Create(s extidx.Server, info extidx.IndexInfo) error {
 		return err
 	}
 	ci.blobID = id
-	m.mu.Lock()
-	if _, dup := m.indexes[info.IndexName]; dup {
-		m.mu.Unlock()
-		return fmt.Errorf("chem: index %s already exists", info.IndexName)
-	}
-	m.indexes[info.IndexName] = ci
-	m.mu.Unlock()
 	// Persist the blob locator so the index survives database reopen.
 	if _, err := s.Exec(fmt.Sprintf(`CREATE TABLE %s(k VARCHAR2, v NUMBER)`, metaTable(info))); err != nil {
 		return err
@@ -250,10 +251,13 @@ func (m *Methods) Create(s extidx.Server, info extidx.IndexInfo) error {
 		return err
 	}
 	for _, r := range rows {
-		if err := m.Insert(s, info, r[1].Int64(), r[0]); err != nil {
+		if err := m.insert(s, ci, r[1].Int64(), r[0]); err != nil {
 			return err
 		}
 	}
+	m.mu.Lock()
+	m.indexes[info.IndexName] = ci
+	m.mu.Unlock()
 	return nil
 }
 
@@ -296,12 +300,17 @@ func (m *Methods) Drop(s extidx.Server, info extidx.IndexInfo) error {
 
 // Insert implements ODCIIndexInsert: append one record.
 func (m *Methods) Insert(s extidx.Server, info extidx.IndexInfo, rid int64, newVal types.Value) error {
-	if newVal.IsNull() {
-		return nil
-	}
 	ci, err := m.idx(s, info)
 	if err != nil {
 		return err
+	}
+	return m.insert(s, ci, rid, newVal)
+}
+
+// insert appends the record of one non-null molecule to the index blob.
+func (m *Methods) insert(s extidx.Server, ci *chemIdx, rid int64, newVal types.Value) error {
+	if newVal.IsNull() {
+		return nil
 	}
 	mol, err := Parse(newVal.Text())
 	if err != nil {
@@ -329,11 +338,13 @@ func (m *Methods) Insert(s extidx.Server, info extidx.IndexInfo, rid int64, newV
 		return err
 	}
 	if ci.fileStore != nil && ci.params.events {
-		// Database events (§5): compensate the external write on abort.
+		// Database events (§5): compensate the external write on abort
+		// by tombstoning the record, which keeps any record another
+		// transaction appended after it.
 		s.OnTxnRollback(func() {
 			if bb, err := ci.fileStore.Open(ci.blobID); err == nil {
 				//vetx:ignore erraudit -- rollback hooks have no error channel; compensation is best-effort
-				bb.Truncate(end)
+				bb.WriteAt([]byte{1}, end+8)
 			}
 		})
 	}

@@ -1,14 +1,17 @@
 package spatial
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/engine"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -520,5 +523,73 @@ func TestRTreeTruncateAndDrop(t *testing.T) {
 	// Recreating under the same name works (the external slot was freed).
 	if _, err := s.Exec(fmt.Sprintf(`CREATE INDEX roads_rt ON roads(geometry) INDEXTYPE IS %s`, RTreeTypeName)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRTreeRollbackHooksBesideWriter: one session keeps rolling back
+// inserts into an externally indexed table with ':Events on' while
+// another inserts into it. The rollback handlers change the in-process
+// R-tree like the maintenance callbacks do, so the two must not run at
+// once (run under -race), and afterwards the tree holds exactly the
+// committed rows.
+func TestRTreeRollbackHooksBesideWriter(t *testing.T) {
+	db, s := newSpatialDB(t)
+	if _, err := s.Exec(fmt.Sprintf(`CREATE TABLE sites(gid NUMBER, geometry %s)`, TypeName)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(fmt.Sprintf(`CREATE INDEX sites_rt ON sites(geometry) INDEXTYPE IS %s PARAMETERS (':Events on')`, RTreeTypeName)); err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	var wg sync.WaitGroup
+	errc := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		a := db.NewSession()
+		for i := 0; i < n; i++ {
+			if err := a.Begin(); err != nil {
+				errc <- err
+				return
+			}
+			_, err := a.Exec(`INSERT INTO sites VALUES (?, ?)`, types.Int(int64(i)), NewRect(float64(i), 0, float64(i)+1, 1).ToValue())
+			if err != nil && !errors.Is(err, storage.ErrWriteConflict) {
+				errc <- err
+				return
+			}
+			if err := a.Rollback(); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		b := db.NewSession()
+		for i := 0; i < n; i++ {
+			if _, err := b.Exec(`INSERT INTO sites VALUES (?, ?)`, types.Int(int64(1000+i)), NewRect(float64(i), 5, float64(i)+1, 6).ToValue()); err != nil && !errors.Is(err, storage.ErrWriteConflict) {
+				errc <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	window := NewRect(-1, -1, n+1, 7).ToValue()
+	s.SetForcedPath(engine.ForceFullScan)
+	full, err := s.Query(`SELECT gid FROM sites WHERE Sdo_Filter(geometry, ?)`, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetForcedPath(engine.ForceDomainScan)
+	dom, err := s.Query(`SELECT gid FROM sites WHERE Sdo_Filter(geometry, ?)`, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dom.Rows) != len(full.Rows) {
+		t.Fatalf("R-tree finds %d rows, the table holds %d", len(dom.Rows), len(full.Rows))
 	}
 }

@@ -382,3 +382,20 @@ func TestNullColumnValues(t *testing.T) {
 	}
 	s.SetForcedPath(engine.ForceAuto)
 }
+
+// TestContainsErrorPaths runs the two query errors ODCIIndexStart
+// reports, through SQL on a forced domain scan: a query made only of
+// negations, and a Contains predicate not compared to 1.
+func TestContainsErrorPaths(t *testing.T) {
+	_, s := newTextDB(t, "")
+	s.SetForcedPath(engine.ForceDomainScan)
+	defer s.SetForcedPath(engine.ForceAuto)
+	for q, want := range map[string]string{
+		`SELECT name FROM Employees WHERE Contains(resume, 'NOT cobol')`:  "at least one positive term",
+		`SELECT name FROM Employees WHERE Contains(resume, 'oracle') = 0`: "compare the operator to 1",
+	} {
+		if _, err := s.Query(q); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error containing %q", q, err, want)
+		}
+	}
+}

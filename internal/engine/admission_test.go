@@ -1,8 +1,8 @@
 package engine
 
 // Regression tests for the write-admission protocol around checkpoints:
-// the shared→exclusive upgrade gap, stale write-conflict latches, and
-// the frame-orphaning order at transaction end. Each test pins a bug a
+// stale write-conflict latches and the frame-orphaning order at
+// transaction end. Each test pins a bug a
 // review found in the group-commit PR; the hammer variants also run in
 // the race and invariants CI jobs.
 
@@ -25,34 +25,6 @@ func newWALDB(t testing.TB) *DB {
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
-}
-
-// TestCheckpointRefusedDuringAdmissionUpgradeGap pins the upgrade-gap
-// guard: a transaction upgrading shared→exclusive admission releases
-// the admission lock entirely before re-acquiring it, so Checkpoint's
-// TryLock can succeed mid-upgrade while the transaction still owns
-// uncommitted frames. The admitted-map entry is what must keep the
-// checkpoint out. The test reproduces the gap state directly — the
-// transaction registered as admitted while the admission lock is free —
-// and requires Checkpoint to refuse with ErrTxnOpen.
-func TestCheckpointRefusedDuringAdmissionUpgradeGap(t *testing.T) {
-	db := newWALDB(t)
-	tx := db.txns.Begin()
-	db.admitMu.Lock()
-	db.admitted[tx] = false
-	db.admitMu.Unlock()
-	if err := db.Checkpoint(); !errors.Is(err, ErrTxnOpen) {
-		t.Fatalf("Checkpoint during upgrade gap: got %v, want ErrTxnOpen", err)
-	}
-	db.admitMu.Lock()
-	delete(db.admitted, tx)
-	db.admitMu.Unlock()
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint with no writer admitted: %v", err)
-	}
 }
 
 // TestStatementFailureClearsWriteConflict pins the conflict-latch
@@ -105,10 +77,9 @@ func TestStatementFailureClearsWriteConflict(t *testing.T) {
 }
 
 // TestCheckpointVsWriterRaces hammers Checkpoint against explicit
-// transactions that commit, roll back, and upgrade their admission
-// (plain DML first, bitmap-indexed DML second) — the schedules in which
-// a checkpoint could previously slip in during the upgrade gap or
-// between admission release and frame orphaning. Under -tags invariants
+// transactions that commit and roll back (plain DML first,
+// bitmap-indexed DML second) — the schedules in which a checkpoint could
+// slip in between admission release and frame orphaning. Under -tags invariants
 // the owned-frames assertion in Checkpoint turns either regression into
 // a panic; under -race the admitted-map bookkeeping is exercised for
 // data races. Checkpoint may be refused (ErrTxnOpen) but must never
@@ -139,8 +110,7 @@ func TestCheckpointVsWriterRaces(t *testing.T) {
 					errc <- err
 					return
 				}
-				// Shared admit, then upgrade to exclusive: the second
-				// statement's table carries a bitmap index.
+				// The second statement's table carries a bitmap index.
 				_, err := s.Exec(fmt.Sprintf(`INSERT INTO P%d VALUES (%d, 'v')`, w, i))
 				if err == nil {
 					_, err = s.Exec(fmt.Sprintf(`INSERT INTO B%d VALUES (%d, 'd%d')`, w, i, i%3))

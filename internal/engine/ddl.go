@@ -13,21 +13,18 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
-// execDDL dispatches data-definition statements. DDL is auto-committed:
-// an open explicit transaction is committed first (Oracle's implicit
-// commit), except on callback sessions, which execute structural changes
-// inside the invoking statement (index definition routines have no
-// restrictions, §2.5).
-// execDDL executes one DDL statement. A top-level DDL runs in its own
-// transaction so everything a domain-index definition routine does
-// through callback sessions (which share the invoking transaction)
-// commits or rolls back with the statement; the commit is forced
-// durable, since pure-dictionary DDL dirties no pages yet must survive a
-// crash via the commit record's snapshot. Callback-session DDL joins the
-// invoking statement's transaction instead.
+// execDDL executes one DDL statement. DDL is auto-committed: an open
+// explicit transaction is committed first (Oracle's implicit commit). A
+// top-level DDL runs in its own transaction, so everything a
+// domain-index definition routine does through callback sessions (which
+// share the invoking transaction) commits or rolls back with the
+// statement, and so does the rewritten dictionary chain. Callback-session
+// DDL joins the invoking statement's transaction instead (index
+// definition routines have no restrictions, §2.5).
 func (s *Session) execDDL(st sql.Statement) error {
 	if s.explicit && !s.isCallback {
 		if err := s.Commit(); err != nil {
@@ -37,20 +34,32 @@ func (s *Session) execDDL(st sql.Statement) error {
 	if s.isCallback {
 		return s.dispatchDDL(st)
 	}
-	t := s.db.txns.Begin()
-	// DDL rewrites the dictionary, which every concurrent committer's
-	// snapshot gob-encodes wholesale — so DDL admits exclusively, draining
-	// all shared writers first. Admission comes before any table lock (the
-	// implicit commit above already released any admission this session's
-	// explicit transaction held), and the dispatch — catalog pages, whole
-	// index builds through callback sessions sharing t — runs inside the
-	// mutation window. Rollback happens inside the window too; the commit
-	// runs after it exits, so its fsync never blocks the window.
-	s.db.admitTxn(t, true)
+	// DDL admits exclusively: it changes the catalog every other
+	// statement plans against, and it rewrites the dictionary chain from
+	// the whole catalog. Admission comes before any table lock (the
+	// implicit commit above released any admission this session's
+	// explicit transaction held). The dispatch — catalog pages, whole
+	// index builds through callback sessions sharing t — and the chain
+	// write run inside the mutation window, and so does a rollback; the
+	// commit runs after it exits, so its fsync never blocks the window.
+	db := s.db
+	db.admitAcquire(true)
+	defer db.admitRelease(true)
+	t := db.txns.Begin()
 	s.tx, s.explicit = t, true
-	exit := s.db.enterMutation(t.ID, false)
+	exit := db.enterMutation(t.ID, false)
 	err := s.dispatchDDL(st)
 	s.tx, s.explicit = nil, false
+	if err == nil {
+		if err = db.writeSnapshotChain(); err != nil {
+			// The catalog already holds the change and rollback cannot
+			// take it out again: refuse further commits, so the next
+			// Open recovers the dictionary as of the last commit.
+			db.walMu.Lock()
+			err = db.failWAL(fmt.Errorf("engine: write dictionary: %w", err))
+			db.walMu.Unlock()
+		}
+	}
 	if err != nil {
 		rbErr := t.Rollback()
 		exit()
@@ -60,8 +69,7 @@ func (s *Session) execDDL(st sql.Statement) error {
 		return err
 	}
 	exit()
-	t.ForceDurable()
-	s.db.flight.Record(obs.EvDDL, t.ID, 0, ddlTag(st))
+	db.flight.Record(obs.EvDDL, t.ID, 0, ddlTag(st))
 	return t.Commit()
 }
 
@@ -182,6 +190,15 @@ func (s *Session) createTable(x *sql.CreateTable) error {
 	if err := s.db.cat.AddTable(t); err != nil {
 		heap.Drop()
 		return err
+	}
+	// A table an index definition routine creates must go when the
+	// statement that called it fails, or a retry finds it in the way.
+	if s.tx != nil && s.tx.State() == txn.Active {
+		s.tx.Record(txn.UndoFunc(func() error {
+			heap.Drop()
+			_, _, err := s.db.cat.DropTable(t.Name)
+			return err
+		}))
 	}
 	return nil
 }
@@ -314,24 +331,34 @@ func (s *Session) createIndex(x *sql.CreateIndex) error {
 	}
 	// Built-in index backfill from the base table, gathering the
 	// distinct-key statistic the optimizer uses for selectivity.
+	distinct, err := s.backfillIndex(ix, t)
+	if err != nil {
+		_, derr := s.db.cat.DropIndex(ix.Name)
+		return errors.Join(err, derr, s.teardownIndex(ix))
+	}
+	ix.DistinctKeys = distinct
+	return nil
+}
+
+// backfillIndex loads a built-in index from every row of its table and
+// returns the number of distinct keys seen. CREATE INDEX builds with it,
+// and Open rebuilds bitmap indexes with it: the dictionary does not
+// store their contents, and their positions are RIDs, so the rebuilt
+// index is identical.
+func (s *Session) backfillIndex(ix *catalog.Index, t *catalog.Table) (int, error) {
 	distinct := make(map[string]struct{})
 	err := t.Heap.Scan(func(rid storage.RID, img []byte) (bool, error) {
 		row, _, err := types.DecodeRow(img)
 		if err != nil {
 			return false, err
 		}
-		distinct[string(types.EncodeKey(nil, row[pos]))] = struct{}{}
-		if err := s.builtinIndexInsert(ix, row[pos], rid, nil); err != nil {
+		distinct[string(types.EncodeKey(nil, row[ix.ColPos]))] = struct{}{}
+		if err := s.builtinIndexInsert(ix, row[ix.ColPos], rid, nil); err != nil {
 			return false, err
 		}
 		return true, nil
 	})
-	if err != nil {
-		_, derr := s.db.cat.DropIndex(ix.Name)
-		return errors.Join(err, derr, s.teardownIndex(ix))
-	}
-	ix.DistinctKeys = len(distinct)
-	return nil
+	return len(distinct), err
 }
 
 func (s *Session) dropIndex(x *sql.DropIndex) error {

@@ -164,7 +164,7 @@ func (s *Session) maintainDomain(tbl *catalog.Table, fn func(m extidx.IndexMetho
 }
 
 func (s *Session) execInsert(x *sql.Insert, params []types.Value) (Result, error) {
-	release := s.admitWrite(x.Table)
+	release := s.admitWrite()
 	defer release()
 	unlock := s.lockTables(nil, []string{x.Table})
 	defer unlock()
@@ -228,7 +228,7 @@ func (s *Session) execInsert(x *sql.Insert, params []types.Value) (Result, error
 // parsing, used for object/collection values that have no literal syntax)
 // with the same validation and index maintenance as INSERT.
 func (s *Session) InsertRow(table string, row []types.Value) error {
-	release := s.admitWrite(table)
+	release := s.admitWrite()
 	defer release()
 	unlock := s.lockTables(nil, []string{table})
 	defer unlock()
@@ -303,7 +303,7 @@ func (s *Session) dmlTargets(table string, where sql.Expr, params []types.Value)
 }
 
 func (s *Session) execUpdate(x *sql.Update, params []types.Value) (Result, error) {
-	release := s.admitWrite(x.Table)
+	release := s.admitWrite()
 	defer release()
 	unlock := s.lockTables(nil, []string{x.Table})
 	defer unlock()
@@ -394,7 +394,7 @@ func (s *Session) execUpdate(x *sql.Update, params []types.Value) (Result, error
 }
 
 func (s *Session) execDelete(x *sql.Delete, params []types.Value) (Result, error) {
-	release := s.admitWrite(x.Table)
+	release := s.admitWrite()
 	defer release()
 	unlock := s.lockTables(nil, []string{x.Table})
 	defer unlock()

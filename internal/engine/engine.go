@@ -91,15 +91,11 @@ type DB struct {
 
 	// Write concurrency. Three layers replace the old single-writer gate:
 	//
-	//   - admission: an RWMutex taken shared by ordinary write
-	//     transactions (from their first write statement until they
-	//     finish) and exclusively by work whose uncommitted state rides
-	//     wholesale in every commit record's dictionary snapshot — DDL,
-	//     and DML on tables with bitmap or domain indexes (bitmap
-	//     content, LOB directories). An exclusive holder is the only
-	//     writer in flight, so its dictionary mutations can never leak
-	//     into another transaction's commit snapshot. Checkpoint
-	//     TryLocks it exclusively (ErrTxnOpen when writers are open).
+	//   - admission: an RWMutex taken shared by every DML write (from a
+	//     transaction's first write statement until it finishes) and
+	//     exclusively by DDL, which rewrites the dictionary chain and
+	//     the catalog every statement plans against. Checkpoint TryLocks
+	//     it exclusively (ErrTxnOpen when writers are open).
 	//   - mutMu: the mutation window. Page content is mutated only while
 	//     holding it — write statement bodies, undo replay, and the
 	//     commit sweep (AppendUnloggedFor + commit-record append) — so a
@@ -127,7 +123,6 @@ type DB struct {
 	// scope; so are same-identity shard latches, which the pager only
 	// nests in ascending shard order for consistent-cut snapshots.)
 	//
-	//vetx:lockorder engine.DB.admission < engine.DB.admitMu
 	//vetx:lockorder engine.DB.admission < engine.DB.mutMu
 	//vetx:lockorder engine.DB.mutMu < engine.DB.mutStateMu
 	//vetx:lockorder engine.DB.mutMu < engine.DB.walMu
@@ -142,12 +137,10 @@ type DB struct {
 	//vetx:lockorder storage.SegmentedSink.mu < storage.memSegMedium.mu
 	//vetx:lockorder storage.SegmentedSink.mu < storage.memSegSlot.mu
 	admission  sync.RWMutex
-	admitMu    sync.Mutex        // guards admitted
-	admitted   map[*txn.Txn]bool // open write txns → exclusive?
-	mutMu      sync.Mutex        // the mutation window
-	mutStateMu sync.Mutex        // guards mutOwner/mutDepth
-	mutOwner   int64             // txn holding the window (valid when mutDepth > 0)
-	mutDepth   int               // re-entry depth of the window
+	mutMu      sync.Mutex // the mutation window
+	mutStateMu sync.Mutex // guards mutOwner/mutDepth
+	mutOwner   int64      // txn holding the window (valid when mutDepth > 0)
+	mutDepth   int        // re-entry depth of the window
 
 	// Observability aggregates (see metrics.go). planner counts costed
 	// plans and chosen path kinds; odci counts and times every callback
@@ -210,52 +203,6 @@ var ErrWALBroken = errors.New("engine: write-ahead log failed; reopen to recover
 // durably commit them with no undo, so the checkpoint is refused.
 var ErrTxnOpen = errors.New("engine: checkpoint refused: a write transaction is open")
 
-// admitTxn grants t write admission for its remaining lifetime: shared
-// for ordinary writes, exclusive when the transaction's uncommitted
-// state would otherwise leak into other transactions' commit snapshots
-// (DDL, bitmap-index or domain-index DML). The grant is released when
-// the transaction commits or rolls back — including the rollback a
-// failed commit sink triggers. A shared grant upgrades to exclusive by
-// releasing and re-acquiring; the gap is safe against other writers
-// because the transaction holds no other locks here and its page
-// changes stay protected by frame ownership, and safe against
-// checkpoints because the transaction stays in the admitted map for
-// the whole gap — Checkpoint refuses (ErrTxnOpen) whenever that map is
-// non-empty, even when its TryLock momentarily succeeds.
-func (db *DB) admitTxn(t *txn.Txn, exclusive bool) {
-	db.admitMu.Lock()
-	ex, held := db.admitted[t]
-	db.admitMu.Unlock()
-	if held && (ex || !exclusive) {
-		return
-	}
-	if held {
-		db.admission.RUnlock() // upgrade: shared → exclusive
-	}
-	db.admitAcquire(exclusive)
-	db.admitMu.Lock()
-	db.admitted[t] = exclusive
-	db.admitMu.Unlock()
-	if !held {
-		release := func() {
-			// Orphan the transaction's frames before admission frees:
-			// the instant admission is released a checkpoint may pass
-			// TryLock, and it must never observe owner-attributed
-			// frames. (The manager-level ReleaseOwner handler that runs
-			// after the per-txn handlers is then a no-op for this
-			// transaction.)
-			db.pager.ReleaseOwner(t.ID)
-			db.admitMu.Lock()
-			wasEx := db.admitted[t]
-			delete(db.admitted, t)
-			db.admitMu.Unlock()
-			db.admitRelease(wasEx)
-		}
-		t.OnCommit(release)
-		t.OnRollback(release)
-	}
-}
-
 // admitAcquire takes the admission lock in the requested mode, recording
 // the acquisition (and its blocked time) as a wait event. Every
 // acquisition is recorded, not just contended ones: the class count is
@@ -293,23 +240,6 @@ func (db *DB) admitRelease(exclusive bool) {
 	if db.ckpt != nil {
 		db.ckpt.poke(false)
 	}
-}
-
-// needsExclusiveAdmission reports whether a write to the named tables
-// must exclude concurrent committers: bitmap-index content and whatever
-// domain-index cartridges keep outside the page space (LOB directories,
-// dictionary-resident state) ride wholesale in every commit record's
-// snapshot, so uncommitted changes to them must not be in flight while
-// another transaction logs a snapshot.
-func (db *DB) needsExclusiveAdmission(tables []string) bool {
-	for _, tn := range tables {
-		for _, ix := range db.cat.TableIndexes(sql.Norm(tn)) {
-			if ix.Kind == catalog.BitmapIndex || ix.Kind == catalog.DomainIndex {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // enterMutation opens (or re-enters) the mutation window for txID: the
@@ -357,10 +287,12 @@ func (db *DB) enterMutation(txID int64, undo bool) (exit func()) {
 func (db *DB) RecoveryInfo() storage.RecoveryInfo { return db.recovery }
 
 // Open creates or opens a database. Every database is governed by a WAL
-// (see Options.WALSink for where it lives): Open first replays the log —
-// applying every committed transaction's page images to the backend and
-// discarding uncommitted ones — then checkpoints and truncates the log,
-// so a crash during recovery simply replays again.
+// (see Options.WALSink for where it lives): Open first refuses a page
+// file of another format, then replays the log — applying every
+// committed transaction's page images to the backend and discarding
+// uncommitted ones — then reads the dictionary from its pages, and
+// checkpoints and truncates the log, so a crash during recovery simply
+// replays again.
 func Open(opts Options) (*DB, error) {
 	backend := opts.Backend
 	if backend == nil {
@@ -389,6 +321,9 @@ func Open(opts Options) (*DB, error) {
 			sink = storage.NewMemSegmentedSink(storage.DefaultWALSegmentBytes)
 		}
 	}
+	if err := checkFormat(backend); err != nil {
+		return nil, err
+	}
 	recovery, err := storage.ReplayWAL(backend, sink)
 	if err != nil {
 		return nil, fmt.Errorf("engine: wal recovery: %w", err)
@@ -407,7 +342,6 @@ func Open(opts Options) (*DB, error) {
 		lobs:              loblib.NewLOBStore(pager),
 		ws:                extidx.NewWorkspace(),
 		parseCache:        make(map[string]sql.Statement),
-		admitted:          make(map[*txn.Txn]bool),
 		DefaultFetchBatch: 64,
 		recovery:          recovery,
 	}
@@ -436,13 +370,9 @@ func Open(opts Options) (*DB, error) {
 		if err := db.initSuperblock(); err != nil {
 			return nil, err
 		}
-	} else if recovery.Snapshot != nil {
-		// The newest committed dictionary snapshot rides in the WAL commit
-		// record and supersedes the (possibly stale) page-0 snapshot chain.
-		if err := db.applySnapshotBytes(recovery.Snapshot); err != nil {
-			return nil, err
-		}
 	} else if err := db.loadSnapshot(); err != nil {
+		return nil, err
+	} else if err := db.rebuildDerived(recovery.Commits > 0); err != nil {
 		return nil, err
 	}
 	db.txns.SetCommitSink(db.logCommit)
@@ -458,7 +388,7 @@ func Open(opts Options) (*DB, error) {
 	// and a rolled-back txn's frames hold restored pre-images.
 	// Transaction-scoped admissions orphan their frames earlier, in
 	// the per-txn admission release (which must run before admission
-	// frees — see admitTxn); this manager-level handler is the path
+	// frees — see admitWrite); this manager-level handler is the path
 	// that covers statement-scoped (autocommit) writers, which hold
 	// admission until after their transaction finishes.
 	releaseOwner := func(txID int64) { db.pager.ReleaseOwner(txID) }
@@ -477,9 +407,9 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close checkpoints (snapshot + flush + WAL truncation) and closes the
-// database. Close attempts every cleanup step even when an earlier one
-// fails, folding the errors together. When the checkpoint is refused or
+// Close checkpoints (dictionary chain + flush + WAL truncation) and
+// closes the database. Close attempts every cleanup step even when an
+// earlier one fails, folding the errors together. When the checkpoint is refused or
 // fails (open write transaction, broken or partially flushed log), the
 // buffer pool is discarded instead of flushed — flushing could push
 // uncommitted or unlogged pages to the page file — and the next Open
@@ -505,16 +435,15 @@ func (db *DB) Close() error {
 
 // logCommit is the transaction manager's commit sink: it appends the
 // image of every page in the committing transaction's write set, then a
-// commit record carrying the dictionary snapshot — both inside the
-// mutation window and under the short WAL append mutex — and then makes
-// the log durable through the WAL's shared-fsync protocol, outside both
-// locks. Only after it returns nil is the commit acknowledged. A
-// transaction that dirtied no pages skips the log entirely — unless it
-// is forceDurable (DDL changes only the dictionary, which rides in the
-// commit record).
-func (db *DB) logCommit(txID int64, forceDurable bool) error {
+// commit record carrying the transaction id — both inside the mutation
+// window and under the short WAL append mutex — and then makes the log
+// durable through the WAL's shared-fsync protocol, outside both locks.
+// Only after it returns nil is the commit acknowledged. A transaction
+// that dirtied no pages skips the log entirely: everything durable,
+// the dictionary included, is a page.
+func (db *DB) logCommit(txID int64) error {
 	exit := db.enterMutation(txID, false)
-	target, err := db.appendCommitBatch(txID, forceDurable)
+	target, err := db.appendCommitBatch(txID)
 	exit()
 	if err != nil || target == 0 {
 		return err
@@ -534,7 +463,7 @@ func (db *DB) logCommit(txID int64, forceDurable bool) error {
 // record under walMu (the short append mutex concurrent committers
 // serialize on) and returns the log length to sync up to — 0 when the
 // transaction has nothing to log.
-func (db *DB) appendCommitBatch(txID int64, forceDurable bool) (int64, error) {
+func (db *DB) appendCommitBatch(txID int64) (int64, error) {
 	aw := db.waits.StartWait(obs.WaitWALAppend)
 	db.walMu.Lock()
 	aw.Done()
@@ -546,14 +475,10 @@ func (db *DB) appendCommitBatch(txID int64, forceDurable bool) (int64, error) {
 	if err != nil {
 		return 0, db.failWAL(err)
 	}
-	if n == 0 && !forceDurable {
+	if n == 0 {
 		return 0, nil
 	}
-	snap, err := db.snapshotBytes()
-	if err != nil {
-		return 0, db.failWAL(err)
-	}
-	if err := db.wal.AppendCommit(txID, snap); err != nil {
+	if err := db.wal.AppendCommit(txID); err != nil {
 		return 0, db.failWAL(err)
 	}
 	return db.wal.LogSize(), nil
@@ -661,35 +586,24 @@ func (db *DB) TxnEvents() *txn.Manager { return db.txns }
 // Workspace exposes the scan-context workspace (tests check for leaks).
 func (db *DB) Workspace() *extidx.Workspace { return db.ws }
 
-// Checkpoint snapshots the dictionary, flushes all dirty pages to the
-// backend (making the on-disk image reopenable), and — once the page
-// file is durably in sync — truncates the WAL, which the flush just made
-// redundant. Checkpoint must not run while a write transaction is open:
-// the flush writes every dirty page, and under redo-only logging an
-// uncommitted page on disk would have no undo to remove it. That rule is
-// enforced, not assumed — Checkpoint holds write admission exclusively
-// for its whole run and returns ErrTxnOpen when any writer is admitted.
-// TryLock alone is not sufficient: a transaction upgrading its shared
-// admission to exclusive releases the lock entirely before re-acquiring,
-// so Checkpoint additionally refuses while the admitted map is non-empty
-// — the upgrader stays in the map across its release/re-acquire gap even
-// though it momentarily holds no lock. With admission held and no
-// transaction admitted, every frame owner has finished (commit sweeps
-// disown on logging, admission release orphans the rest before letting
-// go), so the owner-0 sweep below covers everything dirty.
+// Checkpoint rewrites the dictionary chain (refreshing its statistics),
+// flushes all dirty pages to the backend (making the on-disk image
+// reopenable), and — once the page file is durably in sync — truncates
+// the WAL, which the flush just made redundant. Checkpoint must not run
+// while a write transaction is open: the flush writes every dirty page,
+// and under redo-only logging an uncommitted page on disk would have no
+// undo to remove it. That rule is enforced, not assumed — Checkpoint
+// holds write admission exclusively for its whole run and returns
+// ErrTxnOpen when any writer is admitted. With admission held, every
+// frame owner has finished (commit sweeps disown on logging, admission
+// release orphans the rest before letting go), so the owner-0 sweep
+// below covers everything dirty.
 func (db *DB) Checkpoint() error {
 	if !db.admission.TryLock() {
 		db.noteCheckpointBlocked()
 		return ErrTxnOpen
 	}
 	defer db.admission.Unlock()
-	db.admitMu.Lock()
-	open := len(db.admitted)
-	db.admitMu.Unlock()
-	if open > 0 {
-		db.noteCheckpointBlocked()
-		return ErrTxnOpen // a shared→exclusive upgrade is mid-gap
-	}
 	db.flight.Record(obs.EvCheckpoint, 0, 0, "")
 	if invariantsEnabled {
 		if owned := db.pager.OwnedPages(); len(owned) > 0 {
@@ -705,7 +619,7 @@ func (db *DB) Checkpoint() error {
 	// Log the chain pages (and every orphan still unlogged) with a
 	// commit record before the flush: a crash that tears the page file
 	// mid-flush is then repaired by replay, chain included.
-	if err := db.logCommit(0, true); err != nil {
+	if err := db.logCommit(0); err != nil {
 		return err
 	}
 	if err := db.pager.FlushAll(); err != nil {

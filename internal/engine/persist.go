@@ -10,42 +10,57 @@ import (
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/hashidx"
-	"repro/internal/loblib"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// Database persistence: page 0 is the superblock pointing at a chain of
-// snapshot pages holding a gob-encoded image of the data dictionary (and
-// the LOB directory). Heaps, B-trees, hash indexes and LOBs live in
-// ordinary pages and only need their root/head references persisted;
-// bitmap indexes are serialized wholesale into the snapshot.
+// Database persistence: every durable byte lives in pages, and the WAL
+// logs pages. Page 0 is the superblock pointing at a chain of pages that
+// hold a gob-encoded image of the data dictionary. Heaps, B-trees, hash
+// indexes and LOBs live in ordinary pages and only need their root/head
+// references in it; bitmap indexes are derived data, rebuilt from their
+// heaps on Open.
 //
-// A snapshot is written on Checkpoint and Close; Open of a non-empty file
-// loads it and reattaches every storage structure. Go-registered pieces
-// (functions, IndexMethods) are process state: cartridges must be
-// re-registered after reopen, exactly like loading a cartridge library
-// at instance startup. Indextypes that keep state outside the database
-// (the external R-tree) must be rebuilt, which is precisely the paper's
-// §5 caveat about external index stores.
+// The chain is rewritten by every DDL statement, as logged page writes
+// inside the statement's own transaction, and by every checkpoint. Open
+// replays the log and then reads the chain, so recovery has one path.
+// Row counts, distinct-key counts and value ranges in the chain are
+// statistics as of that write; Open recounts rows when replay applied
+// records the chain may predate. Go-registered pieces (functions,
+// IndexMethods) are process state: cartridges must be re-registered
+// after reopen, exactly like loading a cartridge library at instance
+// startup. Indextypes that keep state outside the database (the external
+// R-tree) must be rebuilt, which is precisely the paper's §5 caveat about
+// external index stores.
 
-var superMagic = [8]byte{'E', 'X', 'D', 'B', 'S', 'N', 'A', 'P'}
+// superMagic opens page 0. retiredMagic marks files of the format whose
+// commit records carried a dictionary snapshot; Open refuses them before
+// replay, which would otherwise cut their log at the first commit record.
+var (
+	superMagic   = [8]byte{'E', 'X', 'D', 'B', 'D', 'I', 'C', 'T'}
+	retiredMagic = [8]byte{'E', 'X', 'D', 'B', 'S', 'N', 'A', 'P'}
+)
 
 const (
 	snapPageHeader = 6 // next page id (4) + payload length (2)
 	snapPayload    = storage.PageSize - snapPageHeader
 )
 
-// snapColumn mirrors catalog.Column for gob.
-type snapColumn struct {
-	Name     string
-	Kind     uint8
-	TypeName string
+// snapshot is the gob-encoded dictionary. Operators, indextypes and
+// object types are plain data and are stored as they are; tables and
+// indexes stand in for their storage handles with the page ids that
+// reopen them.
+type snapshot struct {
+	Tables     []snapTable
+	Indexes    []snapIndex
+	Operators  []*catalog.Operator
+	IndexTypes []*catalog.IndexType
+	TypeDescs  []*types.TypeDesc
 }
 
 type snapTable struct {
 	Name     string
-	Cols     []snapColumn
+	Cols     []catalog.Column
 	HeapHead storage.PageID
 	RowCount int
 	Hidden   bool
@@ -56,7 +71,7 @@ type snapIndex struct {
 	Table        string
 	Column       string
 	ColPos       int
-	Kind         int
+	Kind         catalog.IndexKind
 	Unique       bool
 	IndexType    string
 	Params       string
@@ -67,46 +82,6 @@ type snapIndex struct {
 
 	BTreeMeta storage.PageID
 	HashDir   storage.PageID
-	Bitmap    map[string][]byte // encoded value key -> serialized bitmap
-}
-
-type snapBinding struct {
-	ArgKinds   []uint8
-	ReturnKind uint8
-	FuncName   string
-}
-
-type snapOperator struct {
-	Name        string
-	Bindings    []snapBinding
-	AncillaryTo string
-}
-
-type snapOpSig struct {
-	Name     string
-	ArgKinds []uint8
-}
-
-type snapIndexType struct {
-	Name        string
-	Ops         []snapOpSig
-	MethodsName string
-	StatsName   string
-}
-
-type snapTypeDesc struct {
-	Name      string
-	AttrNames []string
-	AttrKinds []uint8
-}
-
-type snapshot struct {
-	Tables     []snapTable
-	Indexes    []snapIndex
-	Operators  []snapOperator
-	IndexTypes []snapIndexType
-	TypeDescs  []snapTypeDesc
-	LOBs       []loblib.DirEntry
 }
 
 // initSuperblock formats page 0 of a fresh database.
@@ -125,36 +100,15 @@ func (db *DB) initSuperblock() error {
 	return nil
 }
 
-// snapshotBytes gob-encodes the current dictionary snapshot. The WAL
-// commit protocol embeds it in every commit record so recovery restores
-// volatile dictionary state (row counts, bitmap indexes, the LOB
-// directory, committed DDL) without needing a checkpoint.
-func (db *DB) snapshotBytes() ([]byte, error) {
+// writeSnapshotChain serializes the dictionary into the page-0 chain,
+// leaving the chain pages dirty in the buffer pool for the enclosing
+// transaction's commit (DDL) or the checkpoint's to log.
+func (db *DB) writeSnapshotChain() error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(db.buildSnapshot()); err != nil {
-		return nil, fmt.Errorf("engine: encode snapshot: %w", err)
+		return fmt.Errorf("engine: encode dictionary: %w", err)
 	}
-	return buf.Bytes(), nil
-}
-
-// applySnapshotBytes decodes and applies a gob snapshot (the WAL
-// recovery path; the page-0 chain path is loadSnapshot).
-func (db *DB) applySnapshotBytes(data []byte) error {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("engine: decode snapshot: %w", err)
-	}
-	return db.applySnapshot(snap)
-}
-
-// writeSnapshotChain serializes the dictionary into the page-0 snapshot
-// chain, leaving the chain pages dirty in the buffer pool for Checkpoint
-// to log and flush.
-func (db *DB) writeSnapshotChain() error {
-	data, err := db.snapshotBytes()
-	if err != nil {
-		return err
-	}
+	data := buf.Bytes()
 
 	// Free the previous chain.
 	pg, err := db.pager.Fetch(0)
@@ -223,18 +177,14 @@ func (db *DB) writeSnapshotChain() error {
 func (db *DB) buildSnapshot() snapshot {
 	var snap snapshot
 	for _, t := range db.cat.Tables() {
-		st := snapTable{
-			Name: t.Name, HeapHead: t.Heap.FirstPage(),
+		snap.Tables = append(snap.Tables, snapTable{
+			Name: t.Name, Cols: t.Cols, HeapHead: t.Heap.FirstPage(),
 			RowCount: t.RowCount, Hidden: t.Hidden,
-		}
-		for _, c := range t.Cols {
-			st.Cols = append(st.Cols, snapColumn{Name: c.Name, Kind: uint8(c.Kind), TypeName: c.TypeName})
-		}
-		snap.Tables = append(snap.Tables, st)
+		})
 		for _, ix := range db.cat.TableIndexes(t.Name) {
 			si := snapIndex{
 				Name: ix.Name, Table: ix.Table, Column: ix.Column, ColPos: ix.ColPos,
-				Kind: int(ix.Kind), Unique: ix.Unique, IndexType: ix.IndexType,
+				Kind: ix.Kind, Unique: ix.Unique, IndexType: ix.IndexType,
 				Params: ix.Params, DistinctKeys: ix.DistinctKeys,
 				HasRange: ix.HasRange, MinVal: ix.MinVal, MaxVal: ix.MaxVal,
 				BTreeMeta: storage.InvalidPage, HashDir: storage.InvalidPage,
@@ -244,49 +194,74 @@ func (db *DB) buildSnapshot() snapshot {
 				si.BTreeMeta = ix.BT.MetaPage()
 			case catalog.HashIndex:
 				si.HashDir = ix.HX.DirPage()
-			case catalog.BitmapIndex:
-				si.Bitmap = serializeBitmapIndex(ix.BM)
 			}
 			snap.Indexes = append(snap.Indexes, si)
 		}
 	}
-	for _, opName := range db.cat.OperatorNames() {
-		op, _ := db.cat.Operator(opName)
-		so := snapOperator{Name: op.Name, AncillaryTo: op.AncillaryTo}
-		for _, b := range op.Bindings {
-			sb := snapBinding{ReturnKind: uint8(b.ReturnKind), FuncName: b.FuncName}
-			for _, k := range b.ArgKinds {
-				sb.ArgKinds = append(sb.ArgKinds, uint8(k))
-			}
-			so.Bindings = append(so.Bindings, sb)
-		}
-		snap.Operators = append(snap.Operators, so)
+	for _, name := range db.cat.OperatorNames() {
+		op, _ := db.cat.Operator(name)
+		snap.Operators = append(snap.Operators, op)
 	}
-	for _, itName := range db.cat.IndexTypeNames() {
-		it, _ := db.cat.IndexType(itName)
-		sit := snapIndexType{Name: it.Name, MethodsName: it.MethodsName, StatsName: it.StatsName}
-		for _, sig := range it.Ops {
-			ss := snapOpSig{Name: sig.Name}
-			for _, k := range sig.ArgKinds {
-				ss.ArgKinds = append(ss.ArgKinds, uint8(k))
-			}
-			sit.Ops = append(sit.Ops, ss)
-		}
-		snap.IndexTypes = append(snap.IndexTypes, sit)
+	for _, name := range db.cat.IndexTypeNames() {
+		it, _ := db.cat.IndexType(name)
+		snap.IndexTypes = append(snap.IndexTypes, it)
 	}
-	for _, tdName := range db.cat.TypeDescNames() {
-		td, _ := db.cat.TypeDesc(tdName)
-		std := snapTypeDesc{Name: td.Name, AttrNames: append([]string(nil), td.AttrNames...)}
-		for _, k := range td.AttrKinds {
-			std.AttrKinds = append(std.AttrKinds, uint8(k))
-		}
-		snap.TypeDescs = append(snap.TypeDescs, std)
+	for _, name := range db.cat.TypeDescNames() {
+		td, _ := db.cat.TypeDesc(name)
+		snap.TypeDescs = append(snap.TypeDescs, td)
 	}
-	snap.LOBs = db.lobs.Snapshot()
 	return snap
 }
 
-// loadSnapshot reads the snapshot chain and rebuilds the dictionary.
+// checkFormat refuses a page file of another format before WAL replay
+// reads or cuts its log. A zero page 0 passes: a database that crashed
+// before its first checkpoint has its superblock only in the log.
+func checkFormat(b storage.Backend) error {
+	if b.NumPages() == 0 {
+		return nil
+	}
+	page := make([]byte, storage.PageSize)
+	if err := b.ReadPage(0, page); err != nil {
+		return fmt.Errorf("engine: read superblock: %w", err)
+	}
+	switch magic := page[0:8]; {
+	case bytes.Equal(magic, superMagic[:]), bytes.Equal(magic, make([]byte, len(magic))):
+		return nil
+	case bytes.Equal(magic, retiredMagic[:]):
+		return fmt.Errorf("engine: database file uses a retired format (dictionary snapshots in commit records) and cannot be opened by this version")
+	default:
+		return fmt.Errorf("engine: not an extdb database (bad superblock magic)")
+	}
+}
+
+// rebuildDerived restores what the dictionary chain does not hold:
+// bitmap index contents, always, and every table's row count when
+// recount is set because replay applied records the chain may predate.
+// (Without the recount a stale count would be written back by every
+// later checkpoint and never heal.)
+func (db *DB) rebuildDerived(recount bool) error {
+	s := db.NewSession()
+	for _, t := range db.cat.Tables() {
+		if recount {
+			n, err := t.Heap.Count()
+			if err != nil {
+				return fmt.Errorf("engine: recount rows of %s: %w", t.Name, err)
+			}
+			t.RowCount = n
+		}
+		for _, ix := range db.cat.TableIndexes(t.Name) {
+			if ix.Kind != catalog.BitmapIndex {
+				continue
+			}
+			if _, err := s.backfillIndex(ix, t); err != nil {
+				return fmt.Errorf("engine: rebuild bitmap index %s: %w", ix.Name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// loadSnapshot reads the dictionary chain and rebuilds the catalog.
 func (db *DB) loadSnapshot() error {
 	pg, err := db.pager.Fetch(0)
 	if err != nil {
@@ -313,7 +288,11 @@ func (db *DB) loadSnapshot() error {
 		db.pager.Unpin(cp, false)
 		id = next
 	}
-	return db.applySnapshotBytes(data)
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		return fmt.Errorf("engine: decode dictionary: %w", err)
+	}
+	return db.applySnapshot(snap)
 }
 
 func (db *DB) applySnapshot(snap snapshot) error {
@@ -322,45 +301,22 @@ func (db *DB) applySnapshot(snap snapshot) error {
 		if err != nil {
 			return fmt.Errorf("engine: reopen heap of %s: %w", st.Name, err)
 		}
-		t := &catalog.Table{Name: st.Name, Heap: heap, RowCount: st.RowCount, Hidden: st.Hidden}
-		for _, c := range st.Cols {
-			t.Cols = append(t.Cols, catalog.Column{Name: c.Name, Kind: types.Kind(c.Kind), TypeName: c.TypeName})
-		}
+		t := &catalog.Table{Name: st.Name, Cols: st.Cols, Heap: heap, RowCount: st.RowCount, Hidden: st.Hidden}
 		if err := db.cat.AddTable(t); err != nil {
 			return err
 		}
 	}
-	for _, std := range snap.TypeDescs {
-		td := &types.TypeDesc{Name: std.Name, AttrNames: std.AttrNames}
-		for _, k := range std.AttrKinds {
-			td.AttrKinds = append(td.AttrKinds, types.Kind(k))
-		}
+	for _, td := range snap.TypeDescs {
 		if err := db.cat.AddTypeDesc(td); err != nil {
 			return err
 		}
 	}
-	for _, so := range snap.Operators {
-		op := &catalog.Operator{Name: so.Name, AncillaryTo: so.AncillaryTo}
-		for _, sb := range so.Bindings {
-			b := catalog.Binding{ReturnKind: types.Kind(sb.ReturnKind), FuncName: sb.FuncName}
-			for _, k := range sb.ArgKinds {
-				b.ArgKinds = append(b.ArgKinds, types.Kind(k))
-			}
-			op.Bindings = append(op.Bindings, b)
-		}
+	for _, op := range snap.Operators {
 		if err := db.cat.AddOperator(op); err != nil {
 			return err
 		}
 	}
-	for _, sit := range snap.IndexTypes {
-		it := &catalog.IndexType{Name: sit.Name, MethodsName: sit.MethodsName, StatsName: sit.StatsName}
-		for _, ss := range sit.Ops {
-			sig := catalog.OpSig{Name: ss.Name}
-			for _, k := range ss.ArgKinds {
-				sig.ArgKinds = append(sig.ArgKinds, types.Kind(k))
-			}
-			it.Ops = append(it.Ops, sig)
-		}
+	for _, it := range snap.IndexTypes {
 		if err := db.cat.AddIndexType(it); err != nil {
 			return err
 		}
@@ -368,7 +324,7 @@ func (db *DB) applySnapshot(snap snapshot) error {
 	for _, si := range snap.Indexes {
 		ix := &catalog.Index{
 			Name: si.Name, Table: si.Table, Column: si.Column, ColPos: si.ColPos,
-			Kind: catalog.IndexKind(si.Kind), Unique: si.Unique,
+			Kind: si.Kind, Unique: si.Unique,
 			IndexType: si.IndexType, Params: si.Params, DistinctKeys: si.DistinctKeys,
 			HasRange: si.HasRange, MinVal: si.MinVal, MaxVal: si.MaxVal,
 		}
@@ -379,7 +335,7 @@ func (db *DB) applySnapshot(snap snapshot) error {
 		case catalog.HashIndex:
 			ix.HX, err = hashidx.Open(db.pager, si.HashDir)
 		case catalog.BitmapIndex:
-			ix.BM, err = deserializeBitmapIndex(si.Bitmap)
+			ix.BM = bitmapidx.NewIndex()
 		}
 		if err != nil {
 			return fmt.Errorf("engine: reopen index %s: %w", si.Name, err)
@@ -388,29 +344,5 @@ func (db *DB) applySnapshot(snap snapshot) error {
 			return err
 		}
 	}
-	db.lobs.Restore(snap.LOBs)
 	return nil
-}
-
-func serializeBitmapIndex(x *bitmapidx.Index) map[string][]byte {
-	out := make(map[string][]byte)
-	x.Each(func(key []byte, bm *bitmapidx.Bitmap) {
-		out[string(key)] = bm.Serialize()
-	})
-	return out
-}
-
-func deserializeBitmapIndex(m map[string][]byte) (*bitmapidx.Index, error) {
-	x := bitmapidx.NewIndex()
-	for key, enc := range m {
-		bm, err := bitmapidx.Deserialize(enc)
-		if err != nil {
-			return nil, err
-		}
-		bm.Each(func(pos uint64) bool {
-			x.Insert([]byte(key), pos)
-			return true
-		})
-	}
-	return x, nil
 }

@@ -32,6 +32,9 @@ type Session struct {
 	db       *DB
 	tx       *txn.Txn
 	explicit bool
+	// admitted is set while the explicit transaction holds shared write
+	// admission (from its first write statement until it finishes).
+	admitted bool
 
 	// Callback context: non-nil while this session is a callback session
 	// handed to indextype routines.
@@ -138,37 +141,50 @@ func (s *Session) begin() (*txn.Txn, func(err error) error) {
 	}
 }
 
-// admitWrite admits the statement about to modify the named tables into
-// the writer population, returning the statement-end release (a no-op
-// when admission is transaction-scoped or not needed). It must run
-// before the statement takes any table lock: admission waiters hold no
-// locks, so the admission → table-lock order can never cycle.
+// admitWrite admits the DML statement about to run into the writer
+// population, returning the statement-end release (a no-op when
+// admission is transaction-scoped). It must run before the statement
+// takes any table lock: admission waiters hold no locks, so the
+// admission → table-lock order can never cycle.
 //
 //   - Callback session: the invoking write statement's transaction is
 //     already admitted.
 //   - Explicit transaction: admission is acquired for the transaction
-//     and released when it commits or rolls back (upgraded in place if
-//     a later statement needs exclusive admission).
+//     and released when it commits or rolls back.
 //   - Autocommit: the statement's transaction begins and commits inside
 //     the statement, so admission spans the statement's duration.
 //
-// Ordinary DML admits shared — that is the whole point of group commit:
-// many writers in flight, one fsync. DML on a table with a bitmap or
-// domain index admits exclusive, because those maintenance paths mutate
-// dictionary state that rides in every committer's snapshot (see
-// needsExclusiveAdmission).
-func (s *Session) admitWrite(tables ...string) func() {
+// DML admits shared — that is the whole point of group commit: many
+// writers in flight, one fsync. Writers that touch the same pages,
+// domain-index data and LOBs included, are kept apart by page ownership
+// (storage.ErrWriteConflict), and bitmap indexes are rebuilt from their
+// heaps on Open, so no DML needs the writer population to itself.
+func (s *Session) admitWrite() func() {
 	db := s.db
 	if s.isCallback {
 		return func() {}
 	}
-	exclusive := db.needsExclusiveAdmission(tables)
 	if s.explicit && s.tx != nil {
-		db.admitTxn(s.tx, exclusive)
+		if !s.admitted {
+			s.admitted = true
+			db.admitAcquire(false)
+			t := s.tx
+			release := func() {
+				// Orphan the transaction's frames before admission frees:
+				// the instant admission is released a checkpoint may pass
+				// TryLock, and it must never observe owner-attributed
+				// frames.
+				db.pager.ReleaseOwner(t.ID)
+				s.admitted = false
+				db.admitRelease(false)
+			}
+			t.OnCommit(release)
+			t.OnRollback(release)
+		}
 		return func() {}
 	}
-	db.admitAcquire(exclusive)
-	return func() { db.admitRelease(exclusive) }
+	db.admitAcquire(false)
+	return func() { db.admitRelease(false) }
 }
 
 // runWrite executes a write statement's mutation body inside the
@@ -563,10 +579,18 @@ func (f serverFacade) OnTxnCommit(fn func()) {
 	}
 }
 
-// OnTxnRollback implements extidx.Server.
+// OnTxnRollback implements extidx.Server. The handler runs inside the
+// mutation window, like the maintenance callbacks whose work it undoes,
+// so index data kept outside the database (§5) is never changed by a
+// rollback handler and another writer's callback at once.
 func (f serverFacade) OnTxnRollback(fn func()) {
 	if f.s.tx != nil {
-		f.s.tx.OnRollback(fn)
+		db, txID := f.s.db, f.s.tx.ID
+		f.s.tx.OnRollback(func() {
+			exit := db.enterMutation(txID, true)
+			defer exit()
+			fn()
+		})
 	}
 }
 

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -13,7 +15,9 @@ import (
 // fires the domain-index maintenance callbacks, which read and write the
 // DR$ index-data tables through server callbacks), while readers
 // interleave domain-index scans, full scans, and EXPLAINs of the same
-// operator predicate. CI runs it under -race with -tags invariants, so it
+// operator predicate. Writers admit shared, so two of them touching the
+// same index pages meet a write conflict, which is retryable and
+// skipped here. CI runs it under -race with -tags invariants, so it
 // doubles as the detector for unsynchronized pager/heap access, leaked
 // pins (checked when newDB's cleanup closes the pager), leaked workspace
 // handles, and B+-tree structural corruption.
@@ -40,21 +44,23 @@ func TestConcurrentSessionsStress(t *testing.T) {
 				id := int64(100000 + w*10000 + i)
 				body := fmt.Sprintf("stress unix oracle doc writer%d iter%d", w, i)
 				if _, err := s.Exec(`INSERT INTO Docs VALUES (?, ?)`, types.Int(id), types.Str(body)); err != nil {
+					if errors.Is(err, storage.ErrWriteConflict) {
+						continue
+					}
 					errc <- fmt.Errorf("writer %d insert %d: %w", w, id, err)
 					return
 				}
+				var err error
 				switch i % 4 {
 				case 1:
-					if _, err := s.Exec(`UPDATE Docs SET body = ? WHERE id = ?`,
-						types.Str(fmt.Sprintf("rewritten kernel database writer%d iter%d", w, i)), types.Int(id)); err != nil {
-						errc <- fmt.Errorf("writer %d update %d: %w", w, id, err)
-						return
-					}
+					_, err = s.Exec(`UPDATE Docs SET body = ? WHERE id = ?`,
+						types.Str(fmt.Sprintf("rewritten kernel database writer%d iter%d", w, i)), types.Int(id))
 				case 2:
-					if _, err := s.Exec(`DELETE FROM Docs WHERE id = ?`, types.Int(id)); err != nil {
-						errc <- fmt.Errorf("writer %d delete %d: %w", w, id, err)
-						return
-					}
+					_, err = s.Exec(`DELETE FROM Docs WHERE id = ?`, types.Int(id))
+				}
+				if err != nil && !errors.Is(err, storage.ErrWriteConflict) {
+					errc <- fmt.Errorf("writer %d update or delete %d: %w", w, id, err)
+					return
 				}
 			}
 		}(w)

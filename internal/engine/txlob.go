@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"repro/internal/loblib"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -16,10 +17,27 @@ type txLOBStore struct {
 	s *Session
 }
 
+// active reports whether the session is inside a running transaction.
+func (t txLOBStore) active() bool { return t.s.tx != nil && t.s.tx.State() == txn.Active }
+
 func (t txLOBStore) record(u txn.Undoer) {
-	if t.s.tx != nil && t.s.tx.State() == txn.Active {
+	if t.active() {
 		t.s.tx.Record(u)
 	}
+}
+
+// atCommit runs fn when the running transaction commits, unless the
+// statement that asked for it is rolled back first: a rollback to a
+// savepoint undoes the statement but keeps the transaction's commit
+// hooks.
+func (t txLOBStore) atCommit(fn func()) {
+	cancelled := false
+	t.s.tx.OnCommit(func() {
+		if !cancelled {
+			fn()
+		}
+	})
+	t.s.tx.Record(txn.UndoFunc(func() error { cancelled = true; return nil }))
 }
 
 // Create implements loblib.Store.
@@ -38,15 +56,15 @@ func (t txLOBStore) Open(id int64) (loblib.Blob, error) {
 	if err != nil {
 		return nil, err
 	}
-	return txBlob{store: t, inner: b}, nil
+	return txBlob{store: t, inner: b, id: id}, nil
 }
 
 // Delete implements loblib.Store. Deleting a LOB inside a transaction is
 // irreversible at this layer, so it is deferred to commit: the LOB
 // remains readable until the transaction resolves.
 func (t txLOBStore) Delete(id int64) error {
-	if t.s.tx != nil && t.s.tx.State() == txn.Active {
-		t.s.tx.OnCommit(func() {
+	if t.active() {
+		t.atCommit(func() {
 			//vetx:ignore erraudit -- commit hooks have no error channel; deferred LOB removal is best-effort GC
 			t.s.db.lobs.Delete(id)
 		})
@@ -62,6 +80,7 @@ func (t txLOBStore) Stats() loblib.Stats { return t.s.db.lobs.Stats() }
 type txBlob struct {
 	store txLOBStore
 	inner loblib.Blob
+	id    int64
 }
 
 // ReadAt implements loblib.Blob.
@@ -104,30 +123,46 @@ func (b txBlob) WriteAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Truncate implements loblib.Blob, capturing the truncated tail.
+// Truncate implements loblib.Blob. A grow is undone by cutting back. A
+// shrink inside a transaction keeps the pages it drops until the
+// transaction resolves: the committed header lists them until this
+// transaction commits, so they are freed only then, and the undo lists
+// them again and restores the tail bytes the shrink zeroed.
 func (b txBlob) Truncate(size int64) error {
 	oldLen, err := b.inner.Length()
 	if err != nil {
 		return err
 	}
-	var tail []byte
-	if size < oldLen {
-		tail = make([]byte, oldLen-size)
-		if _, err := b.inner.ReadAt(tail, size); err != nil && err != io.EOF {
+	inner := b.inner
+	if size >= oldLen || !b.store.active() {
+		if err := inner.Truncate(size); err != nil {
 			return err
 		}
+		b.store.record(txn.UndoFunc(func() error { return inner.Truncate(oldLen) }))
+		return nil
 	}
-	if err := b.inner.Truncate(size); err != nil {
+	pageEnd := (size + storage.PageSize - 1) / storage.PageSize * storage.PageSize
+	tail := make([]byte, min(oldLen, pageEnd)-size)
+	if _, err := inner.ReadAt(tail, size); err != nil && err != io.EOF {
 		return err
 	}
-	inner := b.inner
-	b.store.record(txn.UndoFunc(func() error {
-		if len(tail) > 0 {
-			if _, err := inner.WriteAt(tail, size); err != nil {
-				return err
-			}
+	db := b.store.s.db
+	dropped, err := db.lobs.Shrink(b.id, size)
+	if err != nil {
+		return err
+	}
+	id := b.id
+	b.store.atCommit(func() {
+		for _, pg := range dropped {
+			db.pager.Free(pg)
 		}
-		return inner.Truncate(oldLen)
+	})
+	b.store.record(txn.UndoFunc(func() error {
+		if err := db.lobs.Reattach(id, dropped, oldLen); err != nil {
+			return err
+		}
+		_, err := inner.WriteAt(tail, size)
+		return err
 	}))
 	return nil
 }

@@ -290,3 +290,117 @@ func TestRangeLockBlocksUntilRelease(t *testing.T) {
 		t.Error("unlock of unheld range succeeded")
 	}
 }
+
+// TestLOBLivesInPages: a LOB whose page list outgrows its header page
+// continues on an overflow page, and a second store over the same pager
+// reads it back — the locator and the pages are the whole LOB. Shrinking
+// below one page and growing again exposes zeros, not stale data.
+func TestLOBLivesInPages(t *testing.T) {
+	p := storage.NewPager(storage.NewMemBackend(), 64)
+	s := NewLOBStore(p)
+	id, err := s.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Open(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, (lobSlots+3)*storage.PageSize+17)
+	for i := range data {
+		data[i] = byte(i*7 + i/storage.PageSize)
+	}
+	if _, err := b.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := NewLOBStore(p).Open(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := b2.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("LOB spanning an overflow page read back wrong")
+	}
+	if err := b2.Truncate(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := b2.Truncate(int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:10], data[:10]) || !bytes.Equal(got[10:], make([]byte, len(data)-10)) {
+		t.Fatal("shrink then regrow did not give the kept prefix followed by zeros")
+	}
+	if err := s.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLOBOpenRejectsNonHeader: a locator must name a LOB header page.
+func TestLOBOpenRejectsNonHeader(t *testing.T) {
+	s := NewLOBStore(storage.NewPager(storage.NewMemBackend(), 16))
+	id, _ := s.Create()
+	b, _ := s.Open(id)
+	if _, err := b.WriteAt([]byte("data page"), 0); err != nil {
+		t.Fatal(err)
+	}
+	// id+1 is the LOB's data page; the others name no page at all.
+	for _, bad := range []int64{id + 1, 1 << 20, -1} {
+		if _, err := s.Open(bad); err == nil {
+			t.Errorf("Open(%d) accepted a locator that is not a LOB header", bad)
+		}
+	}
+}
+
+// TestLOBShrinkKeepsDroppedPages: Shrink hands back the pages it drops
+// without freeing them, so the allocator cannot give them to anyone
+// else, and Reattach plus the zeroed tail bytes restores the LOB.
+func TestLOBShrinkKeepsDroppedPages(t *testing.T) {
+	p := storage.NewPager(storage.NewMemBackend(), 16)
+	s := NewLOBStore(p)
+	id, _ := s.Create()
+	b, _ := s.Open(id)
+	data := bytes.Repeat([]byte("0123456789"), 3*storage.PageSize/10+10)
+	if _, err := b.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	cut := int64(storage.PageSize + 5)
+	dropped, err := s.Shrink(id, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dropped) != 2 {
+		t.Fatalf("Shrink dropped %d pages, want 2", len(dropped))
+	}
+	if n, _ := b.Length(); n != cut {
+		t.Fatalf("Length after Shrink = %d, want %d", n, cut)
+	}
+	pg, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(pg, false)
+	for _, d := range dropped {
+		if pg.ID == d {
+			t.Fatalf("page %d was handed out again while Shrink's caller still holds it", d)
+		}
+	}
+	if err := s.Reattach(id, dropped, int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteAt(data[cut:2*storage.PageSize], cut); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := b.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("Reattach did not restore the LOB")
+	}
+}

@@ -874,7 +874,7 @@ func (p *Pager) OwnedPages() []PageID {
 // AppendUnloggedFor stages in w one record for every unlogged dirty frame
 // in the committing transaction's write set — frames it owns, plus
 // orphans (owner 0), whose content is committed-equivalent by
-// construction (superblock initialization, snapshot-chain writes,
+// construction (superblock initialization, dictionary-chain writes,
 // rolled-back transactions' restored images). A frame's first record
 // since the last checkpoint is its full image; after that, the byte
 // ranges that differ from its base — the page as the log last recorded

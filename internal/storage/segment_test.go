@@ -291,7 +291,7 @@ func TestSegmentedWALIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.AppendCommit(1, nil); err != nil {
+	if err := w.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Sync(); err != nil {

@@ -109,7 +109,7 @@ func (m *MemWALSink) Close() error { return nil }
 // Record kinds.
 const (
 	walRecPage   = 1 // payload: page id (4) + page image (PageSize)
-	walRecCommit = 2 // payload: txn id (8) + snapshot length (4) + snapshot bytes
+	walRecCommit = 2 // payload: txn id (8)
 	walRecDelta  = 3 // payload: page id (4) + n × (offset u16, length u16, bytes)
 )
 
@@ -405,16 +405,13 @@ func (w *WAL) AppendPage(id PageID, data []byte) error {
 	return w.flush()
 }
 
-// AppendCommit stages a commit record carrying the transaction id and a
-// serialized dictionary snapshot (the engine's volatile metadata — row
-// counts, bitmap indexes, the LOB directory — rides along so recovery
-// restores it without a checkpoint) and hands the whole batch — the page
-// records the commit sweep staged plus this record — to the sink.
-func (w *WAL) AppendCommit(txID int64, snapshot []byte) error {
+// AppendCommit stages a commit record carrying the transaction id and
+// hands the whole batch — the page records the commit sweep staged plus
+// this record — to the sink. Everything durable, the data dictionary
+// included, lives in pages, so the record needs nothing else.
+func (w *WAL) AppendCommit(txID int64) error {
 	start := w.beginRecord(walRecCommit)
 	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(txID))
-	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(snapshot)))
-	w.buf = append(w.buf, snapshot...)
 	w.endRecord(start)
 	w.bufCommits++
 	w.commits.Inc()
@@ -568,10 +565,6 @@ type RecoveryInfo struct {
 	// records appended after recovery are contiguous with readable ones
 	// and a second replay can reach them.
 	IntactBytes int64
-	// Snapshot is the dictionary snapshot of the newest applied commit,
-	// nil when the log held no commits (the page-file snapshot chain is
-	// then authoritative).
-	Snapshot []byte
 }
 
 // replayPage is one page of the batch being replayed: the image its
@@ -585,17 +578,16 @@ type replayPage struct {
 }
 
 // ReplayWAL applies every committed page record in the log to the
-// backend and returns the newest committed dictionary snapshot. A full
-// image replaces the batch's pending image of its page; a delta is
-// applied onto the pending image if the batch has one, else onto the
-// backend page — which, by the time the delta's batch is replayed, holds
-// everything earlier committed batches did to it. The backend is synced
-// before return, so a crash during recovery just replays again (every
-// delta has its page's full image earlier in the same log, so replaying
-// twice is harmless). A torn, corrupt or malformed tail ends replay and
-// is truncated off the sink, so everything appended afterwards — notably
-// the post-recovery checkpoint's records — stays reachable by a later
-// replay.
+// backend. A full image replaces the batch's pending image of its page;
+// a delta is applied onto the pending image if the batch has one, else
+// onto the backend page — which, by the time the delta's batch is
+// replayed, holds everything earlier committed batches did to it. The
+// backend is synced before return, so a crash during recovery just
+// replays again (every delta has its page's full image earlier in the
+// same log, so replaying twice is harmless). A torn, corrupt or
+// malformed tail ends replay and is truncated off the sink, so
+// everything appended afterwards — notably the post-recovery
+// checkpoint's records — stays reachable by a later replay.
 func ReplayWAL(b Backend, sink WALSink) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	log, err := sink.Contents()
@@ -661,11 +653,7 @@ scan:
 			}
 			pp.deltas++
 		case walRecCommit:
-			if payloadLen < 12 {
-				break scan
-			}
-			snapLen := int(binary.BigEndian.Uint32(payload[8:12]))
-			if len(payload)-12 < snapLen {
+			if payloadLen != 8 {
 				break scan
 			}
 			if err := applyPending(b, pending, pendingOrder, &info); err != nil {
@@ -674,9 +662,6 @@ scan:
 			pending = make(map[PageID]*replayPage)
 			pendingOrder = pendingOrder[:0]
 			info.Commits++
-			if snapLen > 0 {
-				info.Snapshot = append([]byte(nil), payload[12:12+snapLen]...)
-			}
 		default:
 			break scan
 		}

@@ -99,7 +99,7 @@ func commitFullImages(t testing.TB, p *Pager, w *WAL, owner int64) {
 		}
 		pg.logged, pg.owner = true, 0
 	}
-	if err := w.AppendCommit(owner, nil); err != nil {
+	if err := w.AppendCommit(owner); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,7 +110,7 @@ func commitDeltas(t testing.TB, p *Pager, w *WAL, owner int64) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendCommit(owner, nil); err != nil {
+	if err := w.AppendCommit(owner); err != nil {
 		t.Fatal(err)
 	}
 	return n
@@ -432,7 +432,7 @@ func TestWALDeltaRecordGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.AppendCommit(1, nil); err != nil {
+	if err := w.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
 	info, err := ReplayWAL(b, sink)
@@ -521,7 +521,7 @@ func TestReplayRejectsMalformedDeltas(t *testing.T) {
 			}
 			log := frameWALRecord(walRecDelta, 1, payload)
 			good := len(log)
-			log = append(log, frameWALRecord(walRecCommit, 2, make([]byte, 12))...)
+			log = append(log, frameWALRecord(walRecCommit, 2, make([]byte, 8))...)
 			sink := sinkWith(log)
 			info, err := ReplayWAL(b, sink)
 			if err != nil {
@@ -545,11 +545,11 @@ func TestReplayRejectsMalformedDeltas(t *testing.T) {
 }
 
 // TestReplayOldLogKindsOnly: a log holding only full images and commits
-// (what every release before delta records wrote) replays unchanged.
+// (no delta records) replays unchanged.
 func TestReplayOldLogKindsOnly(t *testing.T) {
 	payload := append([]byte{0, 0, 0, 2}, walPage(0x77)...)
 	log := frameWALRecord(walRecPage, 1, payload)
-	log = append(log, frameWALRecord(walRecCommit, 2, make([]byte, 12))...)
+	log = append(log, frameWALRecord(walRecCommit, 2, make([]byte, 8))...)
 	b := NewMemBackend()
 	info, err := ReplayWAL(b, sinkWith(log))
 	if err != nil {
@@ -559,6 +559,32 @@ func TestReplayOldLogKindsOnly(t *testing.T) {
 		t.Fatalf("old-format log: %+v", info)
 	}
 	checkReplayedState(t, "old-format log", b, map[PageID]byte{2: 0x77})
+}
+
+// TestCommitRecordIsTheTxnID: a commit record's payload is exactly the
+// 8-byte transaction id, and replay ends at a commit record of any other
+// length (the retired format carried a dictionary snapshot after the id)
+// without applying its batch.
+func TestCommitRecordIsTheTxnID(t *testing.T) {
+	sink := NewMemWALSink()
+	w := NewWAL(sink, 0, 0)
+	if err := w.AppendCommit(42); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sink.buf); got != walHeaderSize+8 {
+		t.Fatalf("commit record is %d bytes, want header + 8", got)
+	}
+	payload := append([]byte{0, 0, 0, 2}, walPage(0x77)...)
+	log := frameWALRecord(walRecPage, 1, payload)
+	log = append(log, frameWALRecord(walRecCommit, 2, make([]byte, 12))...)
+	b := NewMemBackend()
+	info, err := ReplayWAL(b, sinkWith(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Commits != 0 || info.PagesApplied != 0 || !info.TornTail || info.DiscardedPages != 1 {
+		t.Fatalf("12-byte commit record: %+v", info)
+	}
 }
 
 // ---------------------------------------------------------------------------

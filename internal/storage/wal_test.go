@@ -24,7 +24,7 @@ func appendCommitted(t *testing.T, w *WAL, id PageID, fill byte) {
 	if err := w.AppendPage(id, walPage(fill)); err != nil {
 		t.Fatalf("AppendPage: %v", err)
 	}
-	if err := w.AppendCommit(1, nil); err != nil {
+	if err := w.AppendCommit(1); err != nil {
 		t.Fatalf("AppendCommit: %v", err)
 	}
 	if err := w.Sync(); err != nil {
@@ -105,7 +105,7 @@ func TestWALTruncateToSynced(t *testing.T) {
 	if err := w.AppendPage(1, walPage(0x22)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendCommit(2, nil); err != nil {
+	if err := w.AppendCommit(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.TruncateToSynced(); err != nil {
@@ -144,7 +144,7 @@ func TestWALTruncateToSynced(t *testing.T) {
 // its commit is durable.
 func TestWALSyncSharedAfterTruncation(t *testing.T) {
 	w := NewWAL(NewMemWALSink(), 0, 0)
-	if err := w.AppendCommit(1, nil); err != nil {
+	if err := w.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
 	target := w.LogSize()
@@ -225,7 +225,7 @@ func appendTxBatch(t *testing.T, w *WAL, tx *txScript) {
 			t.Fatalf("AppendPage: %v", err)
 		}
 	}
-	if err := w.AppendCommit(tx.id, nil); err != nil {
+	if err := w.AppendCommit(tx.id); err != nil {
 		t.Fatalf("AppendCommit: %v", err)
 	}
 }

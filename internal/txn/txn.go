@@ -55,15 +55,7 @@ type Txn struct {
 	// the transaction runs (§5 of the paper).
 	onCommit   []func()
 	onRollback []func()
-	// forceDurable makes the commit sink write a commit record even when
-	// the transaction dirtied no pages (DDL mutates only the in-memory
-	// dictionary, which rides in the commit record's snapshot).
-	forceDurable bool
 }
-
-// ForceDurable marks the transaction as requiring a durable commit
-// record even if it dirtied no pages.
-func (t *Txn) ForceDurable() { t.forceDurable = true }
 
 // OnCommit attaches a handler fired if (and only if) this transaction
 // commits.
@@ -85,7 +77,7 @@ type Manager struct {
 	nextID     int64
 	onCommit   []func(txID int64)
 	onRollback []func(txID int64)
-	commitSink func(txID int64, forceDurable bool) error
+	commitSink func(txID int64) error
 	undoScope  func(txID int64) (exit func())
 
 	// Lifecycle counters (atomic: Stats snapshots race with sessions).
@@ -117,13 +109,13 @@ func (m *Manager) Stats() Stats {
 // the WAL: append the transaction's page images and a commit record,
 // then fsync. If the sink fails, the commit does not happen — the
 // transaction is rolled back and the error returned to the caller.
-func (m *Manager) SetCommitSink(fn func(txID int64, forceDurable bool) error) {
+func (m *Manager) SetCommitSink(fn func(txID int64) error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.commitSink = fn
 }
 
-func (m *Manager) sink() func(int64, bool) error {
+func (m *Manager) sink() func(int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.commitSink
@@ -245,7 +237,7 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("txn: commit on finished transaction")
 	}
 	if sink := t.mgr.sink(); sink != nil {
-		if err := sink(t.ID, t.forceDurable); err != nil {
+		if err := sink(t.ID); err != nil {
 			if rbErr := t.Rollback(); rbErr != nil {
 				return fmt.Errorf("txn: commit durability failed: %w (rollback also failed: %v)", err, rbErr)
 			}

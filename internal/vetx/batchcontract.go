@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
 // Batchcontract returns the batchcontract analyzer: inside the executor
-// package (internal/exec), a batch operator must not call Heap.Get inside
-// a per-row loop. That re-serializes a chunk into one pager pin per row,
+// package (internal/exec), a batch operator must not call storage.Heap's
+// Get inside a per-row loop. That re-serializes a chunk into one pager pin per row,
 // which is exactly the cost the page-sorted Heap.GetBatchFunc exists to
 // avoid. A single-row lookup may call Get straight-line; loops must go
 // through the batched read. (That every operator speaks the chunk
@@ -20,16 +21,19 @@ import (
 // test: rows come out right, just with more pins. Seeded in real code,
 // each passes go test and -race -tags invariants: DomainScan reading
 // each fetched RID with d.Heap.Get, and RIDFetch reading batches of at
-// most four RIDs with f.Heap.Get. The receiver is matched by name, so
-// a per-row loop over a heap held in a variable named h goes unflagged
-// (in rowSlab.fetch TestRIDFetchMaskedAllocs catches it instead).
+// most four RIDs with f.Heap.Get. The receiver is matched by its type,
+// whatever the variable holding it is called.
 func Batchcontract() *Analyzer {
 	return &Analyzer{
-		Name: "batchcontract",
-		Doc:  "exec operators must not call Heap.Get in per-row loops",
-		Run:  runBatchcontract,
+		Name:      "batchcontract",
+		Doc:       "exec operators must not call Heap.Get in per-row loops",
+		NeedTypes: true,
+		Run:       runBatchcontract,
 	}
 }
+
+// batchcontractHeapPkg is the import path of the package defining Heap.
+const batchcontractHeapPkg = "repro/internal/storage"
 
 // batchcontractScope reports whether the import path is the executor
 // package (or a sub-package of it).
@@ -61,11 +65,15 @@ func runBatchcontract(pkg *Package) []Finding {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Get" {
+				if !ok || sel.Sel.Name != "Get" || seen[call.Pos()] {
 					return true
 				}
-				recv := strings.ToLower(exprString(sel.X))
-				if !strings.Contains(recv, "heap") || seen[call.Pos()] {
+				s := pkg.Info.Selections[sel]
+				if s == nil || s.Kind() != types.MethodVal {
+					return true
+				}
+				named := namedRecv(s.Recv())
+				if named == nil || named.Obj().Name() != "Heap" || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != batchcontractHeapPkg {
 					return true
 				}
 				seen[call.Pos()] = true

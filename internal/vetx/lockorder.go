@@ -29,9 +29,7 @@ import (
 // time. Seeded in real code: engine's logCommit entering the mutation
 // window under walMu when a shared fsync fails (walMu before mutMu)
 // passes plain go test, and under -race -tags invariants it deadlocks
-// TestCrashConcurrentMatrixEveryPoint in only 4 of 5 runs. (Taking
-// admission under admitMu in admitTxn deadlocks the stress tests every
-// time.)
+// TestCrashConcurrentMatrixEveryPoint in only 4 of 5 runs.
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name:       "lockorder",

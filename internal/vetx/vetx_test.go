@@ -198,13 +198,23 @@ func TestCallbackContractSkipsNonCartridge(t *testing.T) {
 	}
 }
 
+// batchcontractFixture typechecks the batchcontract fixture under
+// importPath against the miniature storage package.
+func batchcontractFixture(t *testing.T, importPath string) *Package {
+	t.Helper()
+	stor := parseFixture(t, "repro/internal/storage", filepath.Join("batchstorage", "storage.go"))
+	typecheckFixture(t, stor, nil)
+	pkg := parseFixture(t, importPath, "batchcontract.go")
+	typecheckFixture(t, pkg, mapImporter{"repro/internal/storage": stor.Types})
+	return pkg
+}
+
 func TestBatchcontract(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/exec", "batchcontract.go")
-	checkFindings(t, pkg, Batchcontract())
+	checkFindings(t, batchcontractFixture(t, "repro/internal/exec"), Batchcontract())
 }
 
 func TestBatchcontractSkipsNonExec(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/engine", "batchcontract.go")
+	pkg := batchcontractFixture(t, "repro/internal/engine")
 	if fs := Batchcontract().Run(pkg); len(fs) != 0 {
 		t.Errorf("batchcontract fired outside internal/exec: %v", fs)
 	}

@@ -2,8 +2,8 @@ package extdb_test
 
 // Concurrent-writer stress: 64 goroutines race mixed DDL and DML over a
 // WAL-governed database with two cartridges installed (text and colls),
-// plain tables admitting shared (the group-commit fast path), domain-
-// indexed tables admitting exclusive, throwaway DDL, and explicit
+// plain and domain-indexed tables admitting shared (the group-commit
+// fast path), throwaway DDL admitting exclusive, and explicit
 // transactions that interleave with autocommit writers far enough to
 // trigger cross-transaction write conflicts. Run it under -race and
 // under -tags invariants: the page-validation checks fire on every
@@ -139,24 +139,30 @@ func TestStressConcurrentWriters(t *testing.T) {
 							plainRows[q].Add(2)
 						}
 					}
-				case 2: // exclusive admission: text domain-index maintenance
+				case 2: // text domain-index maintenance (may conflict on index pages)
 					id := nextID.Add(1)
 					body := words[g%len(words)] + " " + words[i%len(words)]
 					if _, err := s.Exec(fmt.Sprintf(`INSERT INTO Docs VALUES (%d, '%s')`, id, body)); err != nil {
-						fail(fmt.Errorf("insert Docs: %w", err))
-						return
+						if !conflictOK(err) {
+							fail(fmt.Errorf("insert Docs: %w", err))
+							return
+						}
+					} else {
+						docRows.Add(1)
 					}
-					docRows.Add(1)
-				case 3: // exclusive admission: colls domain-index maintenance
+				case 3: // colls domain-index maintenance (may conflict on index pages)
 					id := nextID.Add(1)
 					name := fmt.Sprintf("bag%d", id)
 					tags := []extdb.Value{extdb.Str(words[g%len(words)]), extdb.Str(words[(g+i)%len(words)])}
 					if err := s.InsertRow("Bags", []extdb.Value{extdb.Str(name), extdb.Arr(tags...)}); err != nil {
-						fail(fmt.Errorf("insert Bags: %w", err))
-						return
+						if !conflictOK(err) {
+							fail(fmt.Errorf("insert Bags: %w", err))
+							return
+						}
+					} else {
+						bagRows.Add(1)
 					}
-					bagRows.Add(1)
-				case 4: // throwaway DDL (exclusive admission, forced-durable commits)
+				case 4: // throwaway DDL (exclusive admission)
 					tmp := fmt.Sprintf("Tmp%d_%d", g, i)
 					if _, err := s.Exec(fmt.Sprintf(`CREATE TABLE %s(id NUMBER)`, tmp)); err != nil {
 						fail(fmt.Errorf("create %s: %w", tmp, err))
