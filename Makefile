@@ -1,6 +1,6 @@
 GO ?= go
 
-RACE_PKGS = repro/internal/txn repro/internal/storage repro/internal/engine repro/internal/extidx repro/internal/exec repro/internal/obs
+RACE_PKGS = repro/internal/txn repro/internal/storage repro/internal/engine repro/internal/extidx repro/internal/exec repro/internal/obs repro/internal/cartridge/spatial
 
 .PHONY: build vet lint test race crash fuzz check bench bench-smoke
 
@@ -13,8 +13,9 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags invariants ./...
 
-## lint: print the codebase-specific static analyzers' findings (cmd/vetx);
-## the gate is TestRepoClean in `make test`, which runs the same suite
+## lint: print the findings of the four codebase-specific static analyzers
+## (cmd/vetx: pinbalance, erraudit, layering, lockorder); the gate is
+## TestRepoClean in `make test`, which runs the same suite
 lint:
 	$(GO) run ./cmd/vetx ./...
 

@@ -1,6 +1,6 @@
 // Command vetx runs the repo's codebase-specific static analyzers (see
-// internal/vetx): the per-function contract checks plus the
-// interprocedural lock-order and callback-under-lock analyses. Usage:
+// internal/vetx): the per-function pinbalance, erraudit and layering
+// checks plus the interprocedural lock-order analysis. Usage:
 //
 //	go run ./cmd/vetx ./...
 //	go run ./cmd/vetx -list

@@ -142,8 +142,6 @@ type chemIdx struct {
 
 // store returns the blob store to use for this index: the session's
 // transactional LOB store, or the index's private file store.
-//
-//vetx:ignore callbackcontract -- accessor, not an engine-invoked callback: selecting a store cannot fail
 func (ci *chemIdx) store(s extidx.Server) loblib.Store {
 	if ci.fileStore != nil {
 		return ci.fileStore

@@ -300,8 +300,13 @@ func (Stats) IndexCost(s extidx.Server, info extidx.IndexInfo, call extidx.Opera
 // ---------------------------------------------------------------------------
 // R-tree indextype: index data OUTSIDE the database (§5 configuration).
 
-// extIndex is one externally-stored R-tree index instance.
+// extIndex is one externally-stored R-tree index instance. mu guards
+// tree and geoms: scans take it shared, while maintenance callbacks and
+// the ':Events on' rollback handlers take it exclusively. The engine's
+// locks do not cover them, because readers take neither admission nor
+// the mutation window, and the handlers run beside them.
 type extIndex struct {
+	mu    sync.RWMutex
 	tree  *rtree.Tree
 	geoms map[int64]Geometry
 }
@@ -364,6 +369,8 @@ func (m *RTreeMethods) Create(s extidx.Server, info extidx.IndexInfo) error {
 	if err != nil {
 		return err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, r := range rows {
 		if r[0].IsNull() {
 			continue
@@ -390,8 +397,10 @@ func (m *RTreeMethods) Truncate(s extidx.Server, info extidx.IndexInfo) error {
 	if err != nil {
 		return err
 	}
+	e.mu.Lock()
 	e.tree = rtree.New()
 	e.geoms = make(map[int64]Geometry)
+	e.mu.Unlock()
 	return nil
 }
 
@@ -416,12 +425,16 @@ func (m *RTreeMethods) Insert(s extidx.Server, info extidx.IndexInfo, rid int64,
 	if err != nil {
 		return err
 	}
+	e.mu.Lock()
 	e.tree.Insert(g.BBox(), rid)
 	e.geoms[rid] = g
+	e.mu.Unlock()
 	if useEvents(info) {
 		s.OnTxnRollback(func() {
+			e.mu.Lock()
 			e.tree.Delete(g.BBox(), rid)
 			delete(e.geoms, rid)
+			e.mu.Unlock()
 		})
 	}
 	return nil
@@ -433,16 +446,21 @@ func (m *RTreeMethods) Delete(s extidx.Server, info extidx.IndexInfo, rid int64,
 	if err != nil {
 		return err
 	}
+	e.mu.Lock()
 	g, ok := e.geoms[rid]
 	if !ok {
+		e.mu.Unlock()
 		return nil
 	}
 	e.tree.Delete(g.BBox(), rid)
 	delete(e.geoms, rid)
+	e.mu.Unlock()
 	if useEvents(info) {
 		s.OnTxnRollback(func() {
+			e.mu.Lock()
 			e.tree.Insert(g.BBox(), rid)
 			e.geoms[rid] = g
+			e.mu.Unlock()
 		})
 	}
 	return nil
@@ -467,12 +485,14 @@ func (m *RTreeMethods) Start(s extidx.Server, info extidx.IndexInfo, call extidx
 		return nil, err
 	}
 	st := &tileScanState{}
+	e.mu.RLock()
 	for _, rid := range e.tree.SearchIDs(q.BBox()) {
 		if exact && !Relate(e.geoms[rid], q, mask) {
 			continue
 		}
 		st.rids = append(st.rids, rid)
 	}
+	e.mu.RUnlock()
 	sort.Slice(st.rids, func(i, j int) bool { return st.rids[i] < st.rids[j] })
 	return extidx.StateValue{V: st}, nil
 }

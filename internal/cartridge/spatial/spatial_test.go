@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/engine"
+	"repro/internal/extidx"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -591,5 +592,76 @@ func TestRTreeRollbackHooksBesideWriter(t *testing.T) {
 	}
 	if len(dom.Rows) != len(full.Rows) {
 		t.Fatalf("R-tree finds %d rows, the table holds %d", len(dom.Rows), len(full.Rows))
+	}
+}
+
+// eventServer is the part of extidx.Server the R-tree's maintenance
+// callbacks use: Create's base-table query (an empty table here) and the
+// rollback-handler registration, which it records instead of running.
+type eventServer struct {
+	extidx.Server
+	rollback []func()
+}
+
+func (s *eventServer) Query(string, ...types.Value) ([][]types.Value, error) { return nil, nil }
+func (s *eventServer) OnTxnRollback(fn func())                               { s.rollback = append(s.rollback, fn) }
+
+// TestRTreeScanBesideRollback: ODCIIndexStart searches an external
+// R-tree while ':Events on' rollback handlers take inserted rows back
+// out of it. The engine runs those handlers when an explicit transaction
+// rolls back, inside the mutation window, which readers never take, and
+// with no table lock, so only the index's own lock keeps them apart from
+// a scan (run under -race). The callbacks are driven directly, as the
+// engine calls them: through SQL the same probe also reports the
+// engine's own rollback races on the table's heap and row count, which
+// are another matter.
+func TestRTreeScanBesideRollback(t *testing.T) {
+	m := NewRTreeMethods()
+	srv := &eventServer{}
+	info := extidx.IndexInfo{IndexName: "SITES_RT", TableName: "SITES", ColumnName: "GEOMETRY", Params: ":Events on"}
+	if err := m.Create(srv, info); err != nil {
+		t.Fatal(err)
+	}
+	const committed, rolledBack = 10, 200
+	for i := 0; i < committed+rolledBack; i++ {
+		if i == committed {
+			srv.rollback = nil // the first rows' transactions committed
+		}
+		g := NewRect(float64(i%20), 0, float64(i%20)+1, 1).ToValue()
+		if err := m.Insert(srv, info, int64(i), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call := extidx.OperatorCall{Name: OpFilter, Args: []types.Value{NewRect(-1, -1, 21, 2).ToValue()}, Relop: extidx.CmpEQ, Bound: types.Num(1)}
+	scan := func() (int, error) {
+		st, err := m.Start(srv, info, call)
+		if err != nil {
+			return 0, err
+		}
+		res, _, err := m.Fetch(srv, st, 0)
+		if err != nil {
+			return 0, err
+		}
+		return len(res.RIDs), m.Close(srv, st)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, undo := range srv.rollback {
+			undo()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			if _, err := scan(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n, err := scan(); err != nil || n != committed {
+		t.Fatalf("R-tree finds %d rows after the rollbacks (err %v), want the %d committed", n, err, committed)
 	}
 }

@@ -429,7 +429,6 @@ func (st *Stats) Collect(s extidx.Server, info extidx.IndexInfo) error {
 	return nil
 }
 
-//vetx:ignore callbackcontract -- estimator helper, not an engine-invoked callback: query errors degrade to a zero frequency; Selectivity (the ODCI entry point) returns error
 func (st *Stats) termDF(s extidx.Server, info extidx.IndexInfo, token string) float64 {
 	key := info.IndexName + "\x00" + token
 	st.mu.Lock()
@@ -480,7 +479,6 @@ func (st *Stats) Selectivity(s extidx.Server, info extidx.IndexInfo, call extidx
 	return sel, nil
 }
 
-//vetx:ignore callbackcontract -- estimator helper, not an engine-invoked callback: combines termDF estimates and cannot fail
 func (st *Stats) nodeSelectivity(s extidx.Server, info extidx.IndexInfo, q Node, n float64) float64 {
 	switch x := q.(type) {
 	case Term:

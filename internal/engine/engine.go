@@ -221,7 +221,6 @@ func (db *DB) admitAcquire(exclusive bool) {
 		db.admission.RLock()
 	}
 	aw.Done()
-	//vetx:ignore lockbalance -- acquisition helper: callers pair it with admitRelease or transfer ownership
 }
 
 // admitRelease undoes one admitAcquire (a statement-scoped autocommit
@@ -272,7 +271,6 @@ func (db *DB) enterMutation(txID int64, undo bool) (exit func()) {
 	db.mutOwner, db.mutDepth = txID, 1
 	db.mutStateMu.Unlock()
 	restore := db.pager.PushWriter(txID, undo)
-	//vetx:ignore lockbalance -- window ownership transfers to the returned exit closure; every caller pairs it
 	return func() {
 		restore()
 		db.mutStateMu.Lock()

@@ -531,7 +531,13 @@ func TestHeapScanProperty(t *testing.T) {
 // pad, about 70 to a page, in a pool that holds them all.
 func paddedHeap(t *testing.T, n int) *storage.Heap {
 	t.Helper()
-	h, err := storage.CreateHeap(storage.NewPager(storage.NewMemBackend(), n/64+8))
+	return paddedHeapOn(t, storage.NewPager(storage.NewMemBackend(), n/64+8), n)
+}
+
+// paddedHeapOn is paddedHeap in the given pool.
+func paddedHeapOn(t *testing.T, p *storage.Pager, n int) *storage.Heap {
+	t.Helper()
+	h, err := storage.CreateHeap(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,6 +664,85 @@ func TestRIDFetchMaskedAllocs(t *testing.T) {
 	t.Logf("%d rows in %.0f batches: %.0f allocations", n, batches, allocs)
 	if allocs > fetchAllocs {
 		t.Fatalf("fetching %d rows in %.0f batches allocates %.0f, want <= %d", n, batches, allocs, fetchAllocs)
+	}
+}
+
+// TestRIDBatchesPinEachPageOnce: RIDFetch and DomainScan read a batch
+// of RIDs with one page-sorted heap read, so the pool serves each batch
+// at most one fetch per distinct page in it, however the RIDs are
+// ordered. The RIDs alternate between pairs of pages, so a batch that
+// fell back to one heap read per RID would fetch each page once per row.
+func TestRIDBatchesPinEachPageOnce(t *testing.T) {
+	const n = 2000
+	pool := storage.NewPager(storage.NewMemBackend(), n/64+8)
+	h := paddedHeapOn(t, pool, n)
+	var byPage [][]int64
+	last := storage.InvalidPage
+	if err := h.Scan(func(rid storage.RID, _ []byte) (bool, error) {
+		if rid.Page != last {
+			byPage, last = append(byPage, nil), rid.Page
+		}
+		byPage[len(byPage)-1] = append(byPage[len(byPage)-1], rid.Int64())
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var rids []int64
+	for i := 0; i < len(byPage); i += 2 {
+		a, b := byPage[i], []int64(nil)
+		if i+1 < len(byPage) {
+			b = byPage[i+1]
+		}
+		for j := 0; j < len(a) || j < len(b); j++ {
+			if j < len(a) {
+				rids = append(rids, a[j])
+			}
+			if j < len(b) {
+				rids = append(rids, b[j])
+			}
+		}
+	}
+	for _, batch := range []int{1, 4, 64, 256} {
+		var fetches []extidx.FetchResult
+		for rest := rids; len(rest) > 0; {
+			k := min(batch, len(rest))
+			fetches = append(fetches, extidx.FetchResult{RIDs: rest[:k], Done: k == len(rest)})
+			rest = rest[k:]
+		}
+		for _, tc := range []struct {
+			name string
+			iter Iterator
+		}{
+			{"RIDFetch", &RIDFetch{Heap: h, Src: SliceRIDSource(rids)}},
+			{"DomainScan", &DomainScan{Methods: &scriptedMethods{batches: fetches}, Heap: h, BatchSize: batch}},
+		} {
+			c := NewChunk(batch)
+			rows := 0
+			for {
+				before := pool.Stats().Fetches
+				if err := tc.iter.NextBatch(c); err != nil {
+					t.Fatal(err)
+				}
+				if c.Len() == 0 {
+					break
+				}
+				pages := map[storage.PageID]bool{}
+				for _, r := range c.RIDs {
+					pages[storage.RIDFromInt64(r).Page] = true
+				}
+				if got := pool.Stats().Fetches - before; got > int64(len(pages)) {
+					t.Fatalf("%s at batch size %d: a batch of %d RIDs on %d pages made %d page fetches",
+						tc.name, batch, c.Len(), len(pages), got)
+				}
+				rows += c.Len()
+			}
+			if err := tc.iter.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if rows != n {
+				t.Fatalf("%s at batch size %d: %d rows, want %d", tc.name, batch, rows, n)
+			}
+		}
 	}
 }
 

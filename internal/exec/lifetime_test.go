@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/extidx"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -36,6 +37,30 @@ func (r *rebatch) NextBatch(c *Chunk) error {
 
 func (r *rebatch) Close() error { return r.Child.Close() }
 
+// drainTruncating is Drain by a consumer that reuses its chunk: after
+// copying each batch out it truncates the chunk, or resets it on
+// alternate calls. An operator that kept the caller's chunk to read it
+// at a later call finds it emptied.
+func drainTruncating(it Iterator) ([]Row, error) {
+	defer it.Close()
+	c := NewChunk(0)
+	var out []Row
+	for i := 0; ; i++ {
+		if err := it.NextBatch(c); err != nil {
+			return nil, err
+		}
+		if c.Len() == 0 {
+			return out, nil
+		}
+		out = keepRows(out, c.Rows)
+		if i%2 == 0 {
+			c.Truncate(0)
+		} else {
+			c.Reset()
+		}
+	}
+}
+
 // share is the part-th of parts contiguous shares of s.
 func share[T any](s []T, part, parts int) []T {
 	return s[len(s)*part/parts : len(s)*(part+1)/parts]
@@ -59,11 +84,15 @@ func heapRows(t *testing.T, h *storage.Heap) (rids []int64, rows []Row) {
 // storage once their next NextBatch runs, so every consumer that keeps
 // rows longer must copy them. Each producer runs at chunk sizes 1, 3
 // and 256, over pages holding more rows than a chunk and over pages a
-// chunk spans several of, under Drain, Sort and a degree-2 Exchange, and
-// what each consumer kept is compared with an oracle after the producer
-// is exhausted. The invariants build poisons a recycled slab, so a row
-// kept without a copy reads garbage there even where a later page's
-// decode would happen to leave it intact.
+// chunk spans several of, under Drain, Sort and a degree-2 Exchange,
+// and what each consumer kept is compared with an oracle after the
+// producer is exhausted. The invariants build poisons a recycled slab,
+// so a row kept without a copy reads garbage there even where a later
+// page's decode would happen to leave it intact. The operators that
+// hand their caller's chunk to their child, Instrument and Limit, also
+// run under a consumer that truncates or resets its chunk between
+// calls: their counts must follow the rows delivered, not what the
+// chunk holds later.
 func TestRowsValidUntilNextBatch(t *testing.T) {
 	const n = 1500
 	bigPages, _ := propertyHeap(t, n)
@@ -161,6 +190,24 @@ func checkRowLifetimes(t *testing.T, heapName string, h *storage.Heap) {
 				t.Fatal(err)
 			}
 			check("Drain", rows, p.want, false)
+
+			node := &obs.OpNode{}
+			rows, err = drainTruncating(&Instrument{Child: &rebatch{Child: p.make(0, 1), n: batch}, Node: node})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Instrument under a truncating consumer", rows, p.want, false)
+			if node.Rows != int64(len(rows)) {
+				t.Errorf("%s, %s at chunk size %d: Instrument counted %d rows, delivered %d",
+					heapName, p.name, batch, node.Rows, len(rows))
+			}
+
+			limit := len(p.want) - 1
+			rows, err = drainTruncating(&Limit{Child: &rebatch{Child: p.make(0, 1), n: batch}, N: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Limit under a truncating consumer", rows, p.want[:limit], false)
 
 			rows, err = Drain(&Sort{Child: &rebatch{Child: p.make(0, 1), n: batch}, Keys: []SortKey{{
 				Expr: func(r Row) (types.Value, error) { return r[0], nil },

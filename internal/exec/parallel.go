@@ -14,8 +14,7 @@
 // contract), and the worker calls it again while the consumer still
 // reads the last batch, so the worker copies each batch's rows into one
 // fresh slab (keepRows) before the send. The consumer then owns the
-// rows and may keep them. Both halves are held by tests, not by vetx
-// (the chunk here is a local, outside chunkalias's reach): a worker that
+// rows and may keep them. Both halves are held by tests: a worker that
 // reuses its chunk fails the parallel parity tests under plain go test,
 // and one that sends rows without keepRows fails
 // TestRowsValidUntilNextBatch.

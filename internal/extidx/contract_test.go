@@ -45,6 +45,16 @@ type contractStmt struct {
 	args []types.Value
 }
 
+// contractMisuse is one misuse of an indextype through SQL: the
+// statement must fail with an error containing want. An empty want
+// marks a statement the cartridge accepts: colls, vir and the spatial
+// indextypes define no PARAMETERS and take any string.
+type contractMisuse struct {
+	sql  string
+	args []types.Value
+	want string
+}
+
 type cartridgeContract struct {
 	name      string
 	install   func(db *engine.DB, s *engine.Session) error
@@ -57,6 +67,7 @@ type cartridgeContract struct {
 	later     [][]types.Value // rows inserted after CREATE INDEX
 	mutations []contractStmt  // UPDATEs / DELETEs of indexed rows
 	queries   []contractQuery
+	misuse    []contractMisuse // run against the index built over initial
 }
 
 func contracts() []cartridgeContract {
@@ -96,6 +107,15 @@ func contracts() []cartridgeContract {
 				{name: "word", sql: `SELECT id FROM Docs WHERE Contains(body, 'golf')`},
 				{name: "miss", sql: `SELECT id FROM Docs WHERE Contains(body, 'cobol')`},
 			},
+			misuse: []contractMisuse{
+				{sql: `SELECT id FROM Docs WHERE Contains(body, 'oracle') = 0`, want: "ODCIIndexStart(DOCSCT): text: Contains predicates must compare the operator to 1"},
+				{sql: `SELECT id FROM Docs WHERE Contains(body, 'oracle') > 0`, want: "ODCIIndexStart(DOCSCT): text: Contains predicates must compare the operator to 1"},
+				{sql: `SELECT id FROM Docs WHERE Contains(body)`, want: "no binding of operator Contains for 1 arguments"},
+				{sql: `SELECT id FROM Docs WHERE Contains(body, 'oracle AND')`, want: "ODCIIndexStart(DOCSCT): text: unexpected end of query"},
+				{sql: `SELECT id FROM Docs WHERE Contains(body, 'NOT cobol')`, want: "ODCIIndexStart(DOCSCT): text: query must contain at least one positive term"},
+				{sql: `ALTER INDEX DocsCT PARAMETERS (':Bogus x')`, want: "ODCIIndexAlter(DocsCT): text: bad PARAMETERS directive"},
+				{sql: `CREATE INDEX DocsCT2 ON Docs(body) INDEXTYPE IS TextIndexType PARAMETERS (':Bogus x')`, want: "ODCIIndexCreate(DocsCT2): text: bad PARAMETERS directive"},
+			},
 		},
 		{
 			name:      "colls",
@@ -123,6 +143,11 @@ func contracts() []cartridgeContract {
 				{name: "skiing", sql: `SELECT id FROM Bags WHERE CollContains(tags, 'skiing')`},
 				{name: "chess", sql: `SELECT id FROM Bags WHERE CollContains(tags, 'chess')`},
 				{name: "miss", sql: `SELECT id FROM Bags WHERE CollContains(tags, 'surfing')`},
+			},
+			misuse: []contractMisuse{
+				{sql: `SELECT id FROM Bags WHERE CollContains(tags, 'chess') = 0`, want: "ODCIIndexStart(BAGSCT): colls: CollContains takes (collection, element) compared to 1"},
+				{sql: `SELECT id FROM Bags WHERE CollContains(tags, 'a', 'b')`, want: "no binding of operator CollContains for 3 arguments"},
+				{sql: `ALTER INDEX BagsCT PARAMETERS (':Bogus x')`}, // colls defines no PARAMETERS
 			},
 		},
 		spatialContract("spatial-tile", spatial.IndexTypeName),
@@ -157,6 +182,17 @@ func contracts() []cartridgeContract {
 				{name: "wide", sql: `SELECT id FROM Images WHERE VIRSimilar(sig, ?, ?, 1000)`,
 					args: []types.Value{sigs[1], virWeights}},
 			},
+			misuse: []contractMisuse{
+				{sql: `SELECT id FROM Images WHERE VIRSimilar(sig, ?, ?, 10) = 0`, args: []types.Value{sigs[0], virWeights},
+					want: "ODCIIndexStart(IMGCT): vir: predicates must compare VIRSimilar to 1"},
+				{sql: `SELECT id FROM Images WHERE VIRSimilar(sig, ?, ?)`, args: []types.Value{sigs[0], virWeights},
+					want: "no binding of operator VIRSimilar for 3 arguments"},
+				{sql: `SELECT id FROM Images WHERE VIRSimilar(sig, 'nope', ?, 10)`, args: []types.Value{virWeights},
+					want: "ODCIIndexStart(IMGCT): vir: value nope is not a VIR_SIGNATURE"},
+				{sql: `SELECT id FROM Images WHERE VIRSimilar(sig, ?, 'bogus=1', 10)`, args: []types.Value{sigs[0]},
+					want: `ODCIIndexStart(IMGCT): vir: unknown weight "bogus"`},
+				{sql: `ALTER INDEX ImgCT PARAMETERS (':Bogus x')`}, // vir defines no PARAMETERS
+			},
 		},
 		{
 			name: "chem",
@@ -187,6 +223,13 @@ func contracts() []cartridgeContract {
 				{name: "substructure", sql: `SELECT id FROM Compounds WHERE ChemContains(mol, 'c1ccccc1')`},
 				{name: "similar", sql: `SELECT id FROM Compounds WHERE ChemSimilar(mol, 'CC(=O)Nc1ccccc1', 0.5, 1)`},
 				{name: "tautomer", sql: `SELECT id FROM Compounds WHERE ChemTautomer(mol, 'CC(O)=Nc1ccccc1')`},
+			},
+			misuse: []contractMisuse{
+				{sql: `SELECT id FROM Compounds WHERE ChemContains(mol, 'c1ccccc1') = 0`, want: "ODCIIndexStart(MOLCT): chem: predicates must compare the operator to 1"},
+				{sql: `SELECT id FROM Compounds WHERE ChemSimilar(mol, 'CCO')`, want: "no binding of operator ChemSimilar for 2 arguments"},
+				{sql: `SELECT id FROM Compounds WHERE ChemContains(mol, 'C(((')`, want: `ODCIIndexStart(MOLCT): chem: unmatched '(' in "C((("`},
+				{sql: `ALTER INDEX MolCT PARAMETERS (':Bogus x')`, want: `ODCIIndexAlter(MolCT): chem: unknown directive ":Bogus"`},
+				{sql: `ALTER INDEX MolCT PARAMETERS (':Storage disk')`, want: `ODCIIndexAlter(MolCT): chem: :Storage wants lob|file, got "disk"`},
 			},
 		},
 	}
@@ -230,6 +273,17 @@ func spatialContract(name, indexType string) cartridgeContract {
 				args: []types.Value{window}},
 			{name: "filter", sql: `SELECT gid FROM Sites WHERE Sdo_Filter(geometry, ?)`,
 				args: []types.Value{window}},
+		},
+		misuse: []contractMisuse{
+			{sql: `SELECT gid FROM Sites WHERE Sdo_Filter(geometry, ?) = 0`, args: []types.Value{window},
+				want: "ODCIIndexStart(SITESCT): spatial: predicates must compare the operator to 1"},
+			{sql: `SELECT gid FROM Sites WHERE Sdo_Relate(geometry, ?)`, args: []types.Value{window},
+				want: "no binding of operator Sdo_Relate for 2 arguments"},
+			{sql: `SELECT gid FROM Sites WHERE Sdo_Filter(geometry, 'nope')`,
+				want: "ODCIIndexStart(SITESCT): spatial: value nope is not an SDO_GEOMETRY"},
+			{sql: `SELECT gid FROM Sites WHERE Sdo_Relate(geometry, ?, 'mask=BOGUS')`, args: []types.Value{window},
+				want: `ODCIIndexStart(SITESCT): spatial: unknown relate mask "mask=BOGUS"`},
+			{sql: `ALTER INDEX SitesCT PARAMETERS (':Bogus x')`}, // both spatial indextypes define no PARAMETERS
 		},
 	}
 }
@@ -289,21 +343,29 @@ func insertRows(t *testing.T, s *engine.Session, c cartridgeContract, rows [][]t
 	}
 }
 
+// openContract opens a database with the cartridge installed and its
+// base table created.
+func openContract(t *testing.T, c cartridgeContract) (*engine.DB, *engine.Session) {
+	t.Helper()
+	db, err := engine.Open(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s := db.NewSession()
+	if err := c.install(db, s); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	if _, err := s.Exec(c.tableDDL); err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	return db, s
+}
+
 func TestCartridgeContract(t *testing.T) {
 	for _, c := range contracts() {
 		t.Run(c.name, func(t *testing.T) {
-			db, err := engine.Open(engine.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			s := db.NewSession()
-			if err := c.install(db, s); err != nil {
-				t.Fatalf("install: %v", err)
-			}
-			if _, err := s.Exec(c.tableDDL); err != nil {
-				t.Fatalf("create table: %v", err)
-			}
+			db, s := openContract(t, c)
 
 			// ODCIIndexCreate must build the index over pre-existing rows.
 			insertRows(t, s, c, c.initial)
@@ -358,6 +420,45 @@ func TestCartridgeContract(t *testing.T) {
 			}
 
 			// Scan contexts must not leak across all those forced scans.
+			if n := db.Workspace().Live(); n != 0 {
+				t.Errorf("%s: %d scan contexts leaked in workspace", c.name, n)
+			}
+		})
+	}
+}
+
+// TestCartridgeMisuse: every shipped cartridge answers misuse of its
+// operators through SQL with an error, never a panic: a predicate that
+// compares the operator to a value other than 1, a wrong argument count
+// or type, and malformed PARAMETERS. Callbacks run inside DML and scans,
+// so a panic there would take the statement's locks and half-applied
+// transaction with it. The scans are forced onto the domain index so
+// that ODCIIndexStart sees each predicate; afterwards the index must
+// still agree with the full scan.
+func TestCartridgeMisuse(t *testing.T) {
+	for _, c := range contracts() {
+		t.Run(c.name, func(t *testing.T) {
+			db, s := openContract(t, c)
+			insertRows(t, s, c, c.initial)
+			if _, err := s.Exec(c.indexDDL); err != nil {
+				t.Fatalf("create index: %v", err)
+			}
+			s.SetForcedPath(engine.ForceDomainScan)
+			for _, m := range c.misuse {
+				var err error
+				if strings.HasPrefix(m.sql, "SELECT") {
+					_, err = s.Query(m.sql, m.args...)
+				} else {
+					_, err = s.Exec(m.sql, m.args...)
+				}
+				switch {
+				case m.want == "" && err != nil:
+					t.Errorf("%s: %v, want it accepted", m.sql, err)
+				case m.want != "" && (err == nil || !strings.Contains(err.Error(), m.want)):
+					t.Errorf("%s: got %v, want an error containing %q", m.sql, err, m.want)
+				}
+			}
+			compareAll(t, s, c, "misuse")
 			if n := db.Workspace().Live(); n != 0 {
 				t.Errorf("%s: %d scan contexts leaked in workspace", c.name, n)
 			}

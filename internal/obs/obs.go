@@ -2,14 +2,15 @@
 // atomic counters, power-of-two histogram buckets, and the per-query
 // trace recorder behind EXPLAIN ANALYZE and the slow-query hook.
 //
-// Design rules, enforced by the vetx `obscounter` analyzer and by
-// construction:
+// Design rules, held by construction and by the package's tests:
 //
 //   - Live aggregates (types whose name ends in "Stats") hold only
 //     Counter and Histogram fields — never bare numeric fields — so every
 //     update goes through the atomic helpers and stays race-free under
 //     `go test -race`. The fields are unexported; callers mutate them
 //     through methods and read them through Snapshot().
+//     TestStatsAggregatesConcurrent calls every recording method from
+//     eight goroutines under -race and requires exact totals.
 //   - Snapshot types (…Snapshot, and the plain-field trace records
 //     QueryTrace / OpNode / PlanCandidate) are inert copies with exported
 //     fields, safe to marshal and compare. Trace records are written by

@@ -181,3 +181,78 @@ func TestQueryTraceRender(t *testing.T) {
 		t.Fatalf("error render:\n%s", out)
 	}
 }
+
+// TestStatsAggregatesConcurrent calls every recording method of every
+// live aggregate from 8 goroutines at once, all on the same counters,
+// and requires exact totals. Run under -race it fails on any field
+// updated without the atomic helpers, however rarely the engine's own
+// paths would make two updates meet.
+func TestStatsAggregatesConcurrent(t *testing.T) {
+	const goroutines, perG = 8, 500
+	var (
+		conflicts ConflictStats
+		execs     ExecStats
+		planner   PlannerStats
+		odci      ODCIStats
+		waits     WaitStats
+	)
+	odci.AttachWaits(&waits)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				conflicts.RecordAbort("T")
+				conflicts.RecordAbort("")
+				execs.ExchangeStarted()
+				execs.MorselDispatched()
+				execs.AddWorkerBusy(3)
+				planner.RecordPlan(4, "DOMAIN")
+				odci.Record(CbFetch, 5)
+				odci.ObserveFetchBatch(6)
+				odci.RecordScanTransport(true)
+				odci.RecordScanTransport(false)
+				waits.Record(WaitTableLock, 7)
+				waits.RecordAux(WaitPagerLatch, 8, "shard=0")
+				waits.StartWait(WaitMutationWindow).Done()
+			}
+		}()
+	}
+	wg.Wait()
+
+	const n = goroutines * perG
+	check := func(what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %d, want %d", what, got, want)
+		}
+	}
+	cs := conflicts.Snapshot()
+	check("conflict aborts", cs.Aborts, 2*n)
+	check("conflict aborts on T", cs.ByTable["T"], n)
+	es := execs.Snapshot()
+	check("exchanges", es.Exchanges, n)
+	check("morsels dispatched", es.MorselsDispatched, n)
+	check("worker busy nanos", es.WorkerBusyNanos, 3*n)
+	ps := planner.Snapshot()
+	check("plans", ps.Plans, n)
+	check("candidates", ps.Candidates, 4*n)
+	check("DOMAIN chosen", ps.ChosenByKind["DOMAIN"], n)
+	ds := odci.Snapshot()
+	check("fetch calls", ds.Callbacks[CbFetch.String()].Calls, n)
+	check("fetch nanos", ds.Callbacks[CbFetch.String()].Nanos, 5*n)
+	check("fetch batches", ds.FetchBatch.Count, n)
+	check("fetch batch rids", ds.FetchBatch.Sum, 6*n)
+	check("handle scans", ds.StateHandleScans, n)
+	check("value scans", ds.StateValueScans, n)
+	ws := waits.Snapshot()
+	check("ODCICallback waits", ws.Classes["ODCICallback"].Count, n)
+	check("ODCICallback wait nanos", ws.Classes["ODCICallback"].TotalNanos, 5*n)
+	check("TableLock waits", ws.Classes["TableLock"].Count, n)
+	check("TableLock wait nanos", ws.Classes["TableLock"].TotalNanos, 7*n)
+	check("PagerLatch waits", ws.Classes["PagerLatch"].Count, n)
+	check("PagerLatch wait nanos", ws.Classes["PagerLatch"].TotalNanos, 8*n)
+	check("MutationWindow waits", ws.Classes["MutationWindow"].Count, n)
+	check("wait histogram", ws.Durations.Count, 4*n)
+}

@@ -476,7 +476,6 @@ func (p *Pager) lockShard(i int) *pagerShard {
 	p.waits.RecordAux(obs.WaitPagerLatch, n, p.auxes[i])
 	p.lockWaits.Inc()
 	p.lockWaitNanos.Add(n)
-	//vetx:ignore lockbalance -- acquisition helper: every caller pairs it with sh.mu.Unlock()
 	return sh
 }
 
@@ -492,7 +491,6 @@ func (p *Pager) rlockShard(i int) *pagerShard {
 	p.waits.RecordAux(obs.WaitPagerLatch, n, p.auxes[i])
 	p.lockWaits.Inc()
 	p.lockWaitNanos.Add(n)
-	//vetx:ignore lockbalance -- acquisition helper: every caller pairs it with sh.mu.RUnlock()
 	return sh
 }
 
@@ -540,7 +538,6 @@ func (p *Pager) Stats() Stats {
 	if invariantsEnabled && s.Fetches != s.Hits+s.Misses {
 		panic(fmt.Sprintf("storage: inconsistent pager stats snapshot: fetches=%d hits=%d misses=%d", s.Fetches, s.Hits, s.Misses))
 	}
-	//vetx:ignore lockbalance -- lock-all-shards snapshot: the descending loop above released every shard latch
 	return s
 }
 

@@ -302,3 +302,93 @@ func TestShardedPagerAllDirtyBackpressure(t *testing.T) {
 		t.Fatalf("no-steal all-dirty pool wrote back or evicted: %+v", s)
 	}
 }
+
+// TestPagerLatchWaitsMatchStats: a contended shard latch is recorded
+// once, as a WaitPagerLatch wait whose count and time are exactly the
+// pager's own LockWaits and LockWaitNanos. Both contended paths run: a
+// fetch hit blocked in rlockShard by a latch held exclusively, and a
+// miss blocked in lockShard by a latch held shared.
+func TestPagerLatchWaitsMatchStats(t *testing.T) {
+	b := NewMemBackend()
+	seed := NewPager(b, 16)
+	var ids []PageID
+	for i := 0; i < 2; i++ {
+		pg, err := seed.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, pg.ID)
+		seed.Unpin(pg, true)
+	}
+	if err := seed.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPagerShards(b, 16, 4)
+	defer func() { _ = p.CloseDiscard() }()
+	var waits obs.WaitStats
+	p.SetWaitStats(&waits)
+	hit, miss := ids[0], ids[1]
+	pg, err := p.Fetch(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(pg, false)
+
+	fetch := func(id PageID) chan error {
+		errc := make(chan error, 1)
+		go func() {
+			pg, err := p.Fetch(id)
+			if err == nil {
+				p.Unpin(pg, false)
+			}
+			errc <- err
+		}()
+		return errc
+	}
+	agree := func(path string) {
+		t.Helper()
+		wc, s := waits.Snapshot().Classes["PagerLatch"], p.Stats()
+		if wc.Count != s.LockWaits || wc.TotalNanos != s.LockWaitNanos {
+			t.Fatalf("after a contended %s: PagerLatch waits %d (%d ns), pager LockWaits %d (%d ns); want them equal",
+				path, wc.Count, wc.TotalNanos, s.LockWaits, s.LockWaitNanos)
+		}
+	}
+
+	// A hit blocks in rlockShard's RLock while the latch is held
+	// exclusively. Nothing shows that the reader is parked, so hold the
+	// latch a little while and retry until the wait was recorded.
+	sh := &p.shards[p.shardIndex(hit)]
+	for try := 0; waits.Snapshot().Classes["PagerLatch"].Count == 0; try++ {
+		if try == 100 {
+			t.Fatal("a fetch hit never contended for a held shard latch")
+		}
+		sh.mu.Lock()
+		errc := fetch(hit)
+		time.Sleep(time.Millisecond)
+		sh.mu.Unlock()
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	agree("fetch hit (rlockShard)")
+
+	// A miss passes rlockShard beside a shared holder and blocks in
+	// lockShard's Lock; a pending writer turns TryRLock away, which shows
+	// when it is parked.
+	before := waits.Snapshot().Classes["PagerLatch"].Count
+	sh = &p.shards[p.shardIndex(miss)]
+	sh.mu.RLock()
+	errc := fetch(miss)
+	for sh.mu.TryRLock() {
+		sh.mu.RUnlock()
+		time.Sleep(10 * time.Microsecond)
+	}
+	sh.mu.RUnlock()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := waits.Snapshot().Classes["PagerLatch"].Count; got != before+1 {
+		t.Fatalf("a miss blocked in lockShard recorded %d PagerLatch waits, want 1", got-before)
+	}
+	agree("fetch miss (lockShard)")
+}

@@ -344,7 +344,6 @@ func (lm *LockManager) Acquire(names []string, exclusive map[string]bool) (relea
 			hs = append(hs, held{l, false})
 		}
 	}
-	//vetx:ignore lockbalance -- lock ownership transfers to the returned release closure; every caller defers it
 	return func() {
 		for i := len(hs) - 1; i >= 0; i-- {
 			if hs[i].ex {

@@ -11,7 +11,7 @@ import (
 
 // This file is the interprocedural half of vetx: a types-aware call graph
 // over every loaded package plus a "locks held at call site" dataflow that
-// the whole-program analyzers (lockorder, callbackunderlock) consume.
+// the lockorder analyzer consumes.
 //
 // The design is deliberately modest — it is a contract checker, not a
 // verifier:
@@ -29,19 +29,18 @@ import (
 //     variables are untracked: the global ordering contract is about
 //     long-lived structure locks, and table locks handed out by the
 //     LockManager are already deadlock-free by sorted acquisition.
-//   - The per-function dataflow is a linear source-order scan reusing
-//     lockbalance's acquire/release recognition: Lock/RLock/TryLock add
-//     the lock to the held set, Unlock/RUnlock remove it, a *deferred*
-//     unlock keeps it held to the end of the function. TryLock is
-//     treated as a successful acquire (the fallible branch returns
-//     without the lock, which the linear scan models as release-on-
-//     return being someone else's problem — lockbalance's).
+//   - The per-function dataflow is a linear source-order scan:
+//     Lock/RLock/TryLock add the lock to the held set, Unlock/RUnlock
+//     remove it, a *deferred* unlock keeps it held to the end of the
+//     function. TryLock is treated as a successful acquire (the fallible
+//     branch returns without the lock, which the linear scan does not
+//     model).
 //   - Held sets propagate down call edges to a fixed point: if f calls g
 //     with A held, every acquire and call inside g also happens under A.
 //     `go` statements do not propagate (a spawned goroutine does not
 //     hold its parent's locks). Locks that *escape* a function (the
-//     ownership-transfer closures that carry lockbalance ignore
-//     directives) deliberately do not flow back up to callers.
+//     acquisition helpers and ownership-transfer closures, such as
+//     enterMutation's) deliberately do not flow back up to callers.
 type Program struct {
 	Packages []*Package
 	// Funcs maps canonical function keys ("pkg/path.(Recv).Name") to
@@ -91,10 +90,6 @@ type CallSite struct {
 	Held map[string]token.Pos
 	// Go marks `go f()` sites: the callee runs without the caller's locks.
 	Go bool
-	// Boundary marks calls through the ODCI cartridge boundary
-	// (extidx.IndexMethods / StatsMethods / StatsCollector): user code.
-	Boundary     bool
-	BoundaryName string
 }
 
 // CallerEdge records which caller, at which call site, first propagated a
@@ -371,6 +366,14 @@ func (b *graphBuilder) scanBody(pkg *Package, node *FuncNode, body *ast.BlockStm
 	}
 }
 
+type lockOp int
+
+const (
+	opNone lockOp = iota
+	opAcquire
+	opRelease
+)
+
 // lockMethodOp classifies mutex method names, TryLock variants included.
 func lockMethodOp(name string) (op lockOp, kind byte) {
 	switch name {
@@ -429,12 +432,6 @@ func (b *graphBuilder) visitCall(pkg *Package, node *FuncNode, call *ast.CallExp
 			if types.IsInterface(s.Recv()) {
 				// Interface dispatch: fan out later, once every concrete
 				// method in the program is indexed.
-				if ifn := ifaceTypeName(s.Recv()); ifn != "" {
-					if isODCIBoundaryInterface(ifn) {
-						site.Boundary = true
-						site.BoundaryName = ifn + "." + fn.Name()
-					}
-				}
 				node.Calls = append(node.Calls, site)
 				b.pending = append(b.pending, pendingIfaceCall{
 					node:         node,
@@ -450,33 +447,10 @@ func (b *graphBuilder) visitCall(pkg *Package, node *FuncNode, call *ast.CallExp
 			site.Callees = []string{funcKey(fn)}
 		}
 	}
-	if len(site.Callees) == 0 && !site.Boundary {
+	if len(site.Callees) == 0 {
 		return // dynamic call we cannot resolve; nothing to record
 	}
 	node.Calls = append(node.Calls, site)
-}
-
-// ifaceTypeName names the (possibly pointed-to) named interface type.
-func ifaceTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// isODCIBoundaryInterface reports whether the interface is the cartridge
-// side of the ODCI boundary — the interfaces whose implementations are
-// user (cartridge) code the engine invokes implicitly. Server is excluded:
-// it is the opposite direction (cartridge calling back into the engine).
-func isODCIBoundaryInterface(name string) bool {
-	switch name {
-	case "IndexMethods", "StatsMethods", "StatsCollector":
-		return true
-	}
-	return false
 }
 
 // isMutexMethod confirms via types that a Lock-shaped call really targets
@@ -613,24 +587,6 @@ func (p *Program) propagateHeld() {
 	}
 }
 
-// HeldAt returns every lock held at a call site — the intra-procedural
-// set plus the caller-propagated entry set.
-func (p *Program) HeldAt(f *FuncNode, site *CallSite) []string {
-	set := map[string]bool{}
-	for l := range site.Held {
-		set[l] = true
-	}
-	for l := range f.EntryHeld {
-		set[l] = true
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // HoldChain renders how lock became held around an event inside f: either
 // "acquired at <pos>" (intra) or a caller chain "via <f> ← <g> …".
 func (p *Program) HoldChain(f *FuncNode, lock string, intra map[string]token.Pos) string {
@@ -659,6 +615,14 @@ func (p *Program) HoldChain(f *FuncNode, lock string, intra map[string]token.Pos
 		return "held by a caller"
 	}
 	return "held via " + strings.Join(steps, " ← ")
+}
+
+func copyHeld(m map[string]token.Pos) map[string]token.Pos {
+	out := make(map[string]token.Pos, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // callerIntraHeld finds the acquire position of lock in caller's intra

@@ -15,8 +15,7 @@ import (
 // bound (see Pager.evictIfFullLocked), which is why the `invariants`
 // build tag also checks for leaked pins at Pager.Close.
 //
-// The one flow fact the checker understands beyond lockbalance-style
-// branch merging: a return inside `if err != nil { ... }` guarding the
+// The one flow fact the checker understands beyond branch merging: a return inside `if err != nil { ... }` guarding the
 // most recent acquisition with that error variable is the acquisition's
 // own failure path, where no pin exists.
 func PinBalance() *Analyzer {

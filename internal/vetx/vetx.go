@@ -1,11 +1,11 @@
 // Package vetx is the repo's codebase-specific static-analysis framework:
 // a stdlib-only (go/parser + go/ast + go/types) driver plus analyzers that
-// mechanically enforce the correctness protocols every cartridge depends
-// on — the lock discipline, the pager pin/unpin protocol, the ODCIIndex
-// callback error contract, and the storage layering rules. The
-// `invariants` build tag re-checks some of them at run time, but only on
-// the paths the tests take; each analyzer's doc comment names a seeded
-// defect that the tests, -race and -tags invariants all missed.
+// mechanically enforce protocols the tests cannot hold on paths they do
+// not take — the global lock order, the pager pin/unpin protocol, error
+// propagation, and the storage layering rules. An analyzer stays only
+// while it catches a defect, found or seeded, that the tests, -race and
+// -tags invariants all miss; the other contracts are held by behaviour
+// tests in the packages they guard.
 //
 // Run it as `go run ./cmd/vetx ./...`. A finding can be suppressed with an
 // inline directive on the offending line or the line above it:
@@ -58,16 +58,10 @@ type Analyzer struct {
 // production configuration.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		LockBalance(),
 		PinBalance(),
 		ErrAudit(),
-		Obscounter(),
-		CallbackContract(),
-		Batchcontract(),
 		Layering(DefaultLayeringConfig()),
 		LockOrder(),
-		CallbackUnderLock(),
-		ChunkAlias(),
 	}
 }
 

@@ -104,11 +104,6 @@ func checkFindings(t *testing.T, pkg *Package, an *Analyzer) {
 	}
 }
 
-func TestLockBalance(t *testing.T) {
-	pkg := parseFixture(t, "fixture/lockfix", "lockbalance.go")
-	checkFindings(t, pkg, LockBalance())
-}
-
 func TestPinBalance(t *testing.T) {
 	pkg := parseFixture(t, "fixture/pinfix", "pinbalance.go")
 	checkFindings(t, pkg, PinBalance())
@@ -125,98 +120,6 @@ func TestErrAuditSkipsNonInternal(t *testing.T) {
 	typecheckFixture(t, pkg, importer.ForCompiler(pkg.Fset, "source", nil))
 	if fs := ErrAudit().Run(pkg); len(fs) != 0 {
 		t.Errorf("erraudit flagged non-internal package: %v", fs)
-	}
-}
-
-func TestObscounter(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/obs", "obscounter.go")
-	typecheckFixture(t, pkg, importer.ForCompiler(pkg.Fset, "source", nil))
-	checkFindings(t, pkg, Obscounter())
-}
-
-func TestObscounterSkipsOtherPackages(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/exec", "obscounter.go")
-	typecheckFixture(t, pkg, importer.ForCompiler(pkg.Fset, "source", nil))
-	if fs := Obscounter().Run(pkg); len(fs) != 0 {
-		t.Errorf("obscounter fired outside internal/obs: %v", fs)
-	}
-}
-
-// fallbackImporter tries the map first (fixture packages), then the
-// source importer (stdlib).
-type fallbackImporter struct {
-	m    mapImporter
-	next types.Importer
-}
-
-func (f fallbackImporter) Import(path string) (*types.Package, error) {
-	if p, err := f.m.Import(path); err == nil {
-		return p, nil
-	}
-	return f.next.Import(path)
-}
-
-// obswaitFixture typechecks the wait-bypass fixture (an engine-layer
-// package) against the fixture obs package.
-func obswaitFixture(t *testing.T, importPath string) *Package {
-	t.Helper()
-	obsPkg := parseFixture(t, "repro/internal/obs", "obscounter.go")
-	typecheckFixture(t, obsPkg, importer.ForCompiler(obsPkg.Fset, "source", nil))
-	pkg := parseFixture(t, importPath, "obswait.go")
-	typecheckFixture(t, pkg, fallbackImporter{
-		m:    mapImporter{"repro/internal/obs": obsPkg.Types},
-		next: importer.ForCompiler(pkg.Fset, "source", nil),
-	})
-	return pkg
-}
-
-func TestObscounterWaitBypass(t *testing.T) {
-	checkFindings(t, obswaitFixture(t, "repro/internal/enginefix"), Obscounter())
-}
-
-// TestObscounterWaitBypassSkipsObs: the rule polices consumers of the
-// wait table, not the obs package itself (whose own internals
-// legitimately handle raw durations).
-func TestObscounterWaitBypassSkipsObs(t *testing.T) {
-	pkg := obswaitFixture(t, "repro/internal/obs/enginefix")
-	for _, f := range Obscounter().Run(pkg) {
-		if strings.Contains(f.Message, "wait gauge") {
-			t.Errorf("wait-bypass rule fired inside internal/obs: %v", f)
-		}
-	}
-}
-
-func TestCallbackContract(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/cartridge/cartfix", "callbackcontract.go")
-	checkFindings(t, pkg, CallbackContract())
-}
-
-func TestCallbackContractSkipsNonCartridge(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/exec", "callbackcontract.go")
-	if fs := CallbackContract().Run(pkg); len(fs) != 0 {
-		t.Errorf("callbackcontract fired outside cartridge packages: %v", fs)
-	}
-}
-
-// batchcontractFixture typechecks the batchcontract fixture under
-// importPath against the miniature storage package.
-func batchcontractFixture(t *testing.T, importPath string) *Package {
-	t.Helper()
-	stor := parseFixture(t, "repro/internal/storage", filepath.Join("batchstorage", "storage.go"))
-	typecheckFixture(t, stor, nil)
-	pkg := parseFixture(t, importPath, "batchcontract.go")
-	typecheckFixture(t, pkg, mapImporter{"repro/internal/storage": stor.Types})
-	return pkg
-}
-
-func TestBatchcontract(t *testing.T) {
-	checkFindings(t, batchcontractFixture(t, "repro/internal/exec"), Batchcontract())
-}
-
-func TestBatchcontractSkipsNonExec(t *testing.T) {
-	pkg := batchcontractFixture(t, "repro/internal/engine")
-	if fs := Batchcontract().Run(pkg); len(fs) != 0 {
-		t.Errorf("batchcontract fired outside internal/exec: %v", fs)
 	}
 }
 
@@ -253,24 +156,13 @@ func TestLockOrderCycleMessage(t *testing.T) {
 	}
 }
 
-func TestCallbackUnderLock(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/cbulfix", "callbackunderlock.go")
-	typecheckFixture(t, pkg, importer.ForCompiler(pkg.Fset, "source", nil))
-	checkFindings(t, pkg, CallbackUnderLock())
-}
-
-func TestChunkAlias(t *testing.T) {
-	pkg := parseFixture(t, "repro/internal/chunkfix", "chunkalias.go")
-	checkFindings(t, pkg, ChunkAlias())
-}
-
 // TestUnusedSuppression: a directive that suppresses nothing is itself a
 // finding — but only when every analyzer it names took part in the run —
 // and so is a directive naming an analyzer the suite does not have.
 func TestUnusedSuppression(t *testing.T) {
 	pkg := parseFixture(t, "repro/internal/supfix", "unusedsuppression.go")
 	var unused, unknown []Finding
-	for _, f := range Run([]*Package{pkg}, []*Analyzer{LockBalance()}) {
+	for _, f := range Run([]*Package{pkg}, []*Analyzer{PinBalance()}) {
 		switch {
 		case f.Analyzer == "vetx" && strings.Contains(f.Message, "suppresses nothing"):
 			unused = append(unused, f)
