@@ -49,10 +49,9 @@ fuzz:
 ## check: everything CI runs except the fuzz smoke (vetx runs inside test)
 check: build vet test race crash bench-smoke
 
-## bench: the root package's benchmarks, then the larger-than-cache
-## full-scan query shapes (allocations per query reported)
+## bench: the larger-than-cache full-scan query shapes (allocations per
+## query reported); the paper's experiments are TestExperiments in `test`
 bench:
-	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench=BenchmarkFullScan -benchmem ./internal/engine
 
 ## bench-smoke: one iteration of each larger-than-cache full-scan shape,

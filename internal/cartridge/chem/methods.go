@@ -88,7 +88,7 @@ func getU64(b []byte) uint64 {
 //
 //	:Storage lob|file   where the index records live (default lob)
 //	:Dir <path>         directory for file storage
-//	:Events on          compensate file-store changes on rollback (§5)
+//	:Events on|off      compensate file-store changes on rollback (§5)
 type chemParams struct {
 	file   bool
 	dir    string
@@ -123,7 +123,14 @@ func parseChemParams(s string) (chemParams, error) {
 			if i >= len(fields) {
 				return p, fmt.Errorf("chem: :Events wants on|off")
 			}
-			p.events = strings.EqualFold(fields[i], "on")
+			switch strings.ToLower(fields[i]) {
+			case "on":
+				p.events = true
+			case "off":
+				p.events = false
+			default:
+				return p, fmt.Errorf("chem: :Events wants on|off, got %q", fields[i])
+			}
 		case "":
 		default:
 			return p, fmt.Errorf("chem: unknown directive %q", fields[i])

@@ -21,6 +21,9 @@ func dt(info extidx.IndexInfo) string { return info.DataTableName("E") }
 
 // Create implements ODCIIndexCreate.
 func (m Methods) Create(s extidx.Server, info extidx.IndexInfo) error {
+	if err := extidx.NoParams(IndexTypeName, info.Params); err != nil {
+		return err
+	}
 	if _, err := s.Exec(fmt.Sprintf(`CREATE TABLE %s(elem VARCHAR2, rid NUMBER)`, dt(info))); err != nil {
 		return err
 	}
@@ -39,8 +42,10 @@ func (m Methods) Create(s extidx.Server, info extidx.IndexInfo) error {
 	return nil
 }
 
-// Alter implements ODCIIndexAlter.
-func (Methods) Alter(s extidx.Server, info extidx.IndexInfo, newParams string) error { return nil }
+// Alter implements ODCIIndexAlter: CollIndexType defines no parameters.
+func (Methods) Alter(s extidx.Server, info extidx.IndexInfo, newParams string) error {
+	return extidx.NoParams(IndexTypeName, newParams)
+}
 
 // Truncate implements ODCIIndexTruncate.
 func (Methods) Truncate(s extidx.Server, info extidx.IndexInfo) error {

@@ -120,8 +120,8 @@ func TestLifecycleDDL(t *testing.T) {
 		t.Errorf("after truncate: %v", got)
 	}
 	s.SetForcedPath(engine.ForceAuto)
-	// ALTER (no-op) and DROP INDEX reach the cartridge.
-	if _, err := s.Exec(`ALTER INDEX h_idx PARAMETERS ('x')`); err != nil {
+	// ALTER (empty PARAMETERS) and DROP INDEX reach the cartridge.
+	if _, err := s.Exec(`ALTER INDEX h_idx PARAMETERS ('')`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Exec(`DROP INDEX h_idx`); err != nil {

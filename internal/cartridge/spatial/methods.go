@@ -3,6 +3,7 @@ package spatial
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/engine"
@@ -23,6 +24,9 @@ func geomTable(info extidx.IndexInfo) string { return info.DataTableName("G") }
 
 // Create implements ODCIIndexCreate.
 func (m TileMethods) Create(s extidx.Server, info extidx.IndexInfo) error {
+	if err := extidx.NoParams(IndexTypeName, info.Params); err != nil {
+		return err
+	}
 	tt, gt := tileTable(info), geomTable(info)
 	stmts := []string{
 		fmt.Sprintf(`CREATE TABLE %s(lo NUMBER, hi NUMBER, rid NUMBER)`, tt),
@@ -47,9 +51,9 @@ func (m TileMethods) Create(s extidx.Server, info extidx.IndexInfo) error {
 	return nil
 }
 
-// Alter implements ODCIIndexAlter (no parameters are interpreted).
+// Alter implements ODCIIndexAlter: the tile index defines no parameters.
 func (TileMethods) Alter(s extidx.Server, info extidx.IndexInfo, newParams string) error {
-	return nil
+	return extidx.NoParams(IndexTypeName, newParams)
 }
 
 // Truncate implements ODCIIndexTruncate.
@@ -337,25 +341,33 @@ func (m *RTreeMethods) idx(info extidx.IndexInfo) (*extIndex, error) {
 	return e, nil
 }
 
-func useEvents(info extidx.IndexInfo) bool {
-	return containsFold(info.Params, ":events on")
+// rtreeEvents parses the R-tree indextype's one directive, ':Events
+// on|off' (default off). Anything else is an error, so a misspelt
+// directive cannot leave the rollback handlers silently off.
+func rtreeEvents(params string) (bool, error) {
+	f := strings.Fields(params)
+	switch {
+	case len(f) == 0:
+		return false, nil
+	case len(f) == 2 && equalsFold(f[0], ":events") && (equalsFold(f[1], "on") || equalsFold(f[1], "off")):
+		return equalsFold(f[1], "on"), nil
+	}
+	return false, fmt.Errorf("spatial: %s takes only ':Events on|off', got %q", RTreeTypeName, params)
 }
 
-func containsFold(s, sub string) bool {
-	if len(sub) > len(s) {
-		return false
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if equalsFold(s[i:i+len(sub)], sub) {
-			return true
-		}
-	}
-	return false
+// useEvents reports whether the index registers rollback handlers; its
+// parameters were checked by Create or Alter.
+func useEvents(info extidx.IndexInfo) bool {
+	on, err := rtreeEvents(info.Params)
+	return err == nil && on
 }
 
 // Create implements ODCIIndexCreate: build the external tree from the
 // base table.
 func (m *RTreeMethods) Create(s extidx.Server, info extidx.IndexInfo) error {
+	if _, err := rtreeEvents(info.Params); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	if _, dup := m.indexes[info.IndexName]; dup {
 		m.mu.Unlock()
@@ -386,9 +398,11 @@ func (m *RTreeMethods) Create(s extidx.Server, info extidx.IndexInfo) error {
 	return nil
 }
 
-// Alter implements ODCIIndexAlter.
+// Alter implements ODCIIndexAlter: the new parameters take effect at
+// the next maintenance callback.
 func (m *RTreeMethods) Alter(s extidx.Server, info extidx.IndexInfo, newParams string) error {
-	return nil
+	_, err := rtreeEvents(newParams)
+	return err
 }
 
 // Truncate implements ODCIIndexTruncate.

@@ -466,7 +466,7 @@ func TestSpatialLifecycleDDL(t *testing.T) {
 		t.Errorf("tile table after truncate: %v %v", rs, err)
 	}
 	// ALTER INDEX and DROP INDEX.
-	if _, err := s.Exec(`ALTER INDEX parks_sidx PARAMETERS ('ignored')`); err != nil {
+	if _, err := s.Exec(`ALTER INDEX parks_sidx PARAMETERS ('')`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Exec(`DROP INDEX parks_sidx`); err != nil {

@@ -32,6 +32,9 @@ func sigTable(info extidx.IndexInfo) string { return info.DataTableName("S") }
 
 // Create implements ODCIIndexCreate.
 func (m *Methods) Create(s extidx.Server, info extidx.IndexInfo) error {
+	if err := extidx.NoParams(IndexTypeName, info.Params); err != nil {
+		return err
+	}
 	st := sigTable(info)
 	cols := "rid NUMBER"
 	for i := 0; i < CoarseDims; i++ {
@@ -56,8 +59,10 @@ func (m *Methods) Create(s extidx.Server, info extidx.IndexInfo) error {
 	return nil
 }
 
-// Alter implements ODCIIndexAlter.
-func (m *Methods) Alter(s extidx.Server, info extidx.IndexInfo, newParams string) error { return nil }
+// Alter implements ODCIIndexAlter: VIRIndexType defines no parameters.
+func (m *Methods) Alter(s extidx.Server, info extidx.IndexInfo, newParams string) error {
+	return extidx.NoParams(IndexTypeName, newParams)
+}
 
 // Truncate implements ODCIIndexTruncate.
 func (m *Methods) Truncate(s extidx.Server, info extidx.IndexInfo) error {

@@ -13,10 +13,9 @@ import (
 )
 
 // slowSink is a WAL sink whose fsync costs a fixed simulated device
-// latency, the same trick internal/bench's W1 uses: MemWALSink syncs
-// instantaneously, so without it group commit never forms a group and
-// the WALGroupFsync wait class would only ever see near-zero leader
-// intervals.
+// latency: MemWALSink syncs instantaneously, so without it group commit
+// never forms a group and the WALGroupFsync wait class would only ever
+// see near-zero leader intervals.
 type slowSink struct {
 	*storage.MemWALSink
 	latency time.Duration

@@ -47,8 +47,8 @@ type contractStmt struct {
 
 // contractMisuse is one misuse of an indextype through SQL: the
 // statement must fail with an error containing want. An empty want
-// marks a statement the cartridge accepts: colls, vir and the spatial
-// indextypes define no PARAMETERS and take any string.
+// marks a statement the cartridge accepts, such as a well-formed
+// PARAMETERS string beside the malformed ones.
 type contractMisuse struct {
 	sql  string
 	args []types.Value
@@ -147,7 +147,8 @@ func contracts() []cartridgeContract {
 			misuse: []contractMisuse{
 				{sql: `SELECT id FROM Bags WHERE CollContains(tags, 'chess') = 0`, want: "ODCIIndexStart(BAGSCT): colls: CollContains takes (collection, element) compared to 1"},
 				{sql: `SELECT id FROM Bags WHERE CollContains(tags, 'a', 'b')`, want: "no binding of operator CollContains for 3 arguments"},
-				{sql: `ALTER INDEX BagsCT PARAMETERS (':Bogus x')`}, // colls defines no PARAMETERS
+				{sql: `ALTER INDEX BagsCT PARAMETERS (':Bogus x')`, want: `ODCIIndexAlter(BagsCT): CollIndexType takes no PARAMETERS, got ":Bogus x"`},
+				{sql: `CREATE INDEX BagsCT2 ON Bags(tags) INDEXTYPE IS CollIndexType PARAMETERS (':Bogus x')`, want: `ODCIIndexCreate(BagsCT2): CollIndexType takes no PARAMETERS, got ":Bogus x"`},
 			},
 		},
 		spatialContract("spatial-tile", spatial.IndexTypeName),
@@ -191,7 +192,8 @@ func contracts() []cartridgeContract {
 					want: "ODCIIndexStart(IMGCT): vir: value nope is not a VIR_SIGNATURE"},
 				{sql: `SELECT id FROM Images WHERE VIRSimilar(sig, ?, 'bogus=1', 10)`, args: []types.Value{sigs[0]},
 					want: `ODCIIndexStart(IMGCT): vir: unknown weight "bogus"`},
-				{sql: `ALTER INDEX ImgCT PARAMETERS (':Bogus x')`}, // vir defines no PARAMETERS
+				{sql: `ALTER INDEX ImgCT PARAMETERS (':Bogus x')`, want: `ODCIIndexAlter(ImgCT): VIRIndexType takes no PARAMETERS, got ":Bogus x"`},
+				{sql: `CREATE INDEX ImgCT2 ON Images(sig) INDEXTYPE IS VIRIndexType PARAMETERS (':Bogus x')`, want: `ODCIIndexCreate(ImgCT2): VIRIndexType takes no PARAMETERS, got ":Bogus x"`},
 			},
 		},
 		{
@@ -230,6 +232,8 @@ func contracts() []cartridgeContract {
 				{sql: `SELECT id FROM Compounds WHERE ChemContains(mol, 'C(((')`, want: `ODCIIndexStart(MOLCT): chem: unmatched '(' in "C((("`},
 				{sql: `ALTER INDEX MolCT PARAMETERS (':Bogus x')`, want: `ODCIIndexAlter(MolCT): chem: unknown directive ":Bogus"`},
 				{sql: `ALTER INDEX MolCT PARAMETERS (':Storage disk')`, want: `ODCIIndexAlter(MolCT): chem: :Storage wants lob|file, got "disk"`},
+				{sql: `ALTER INDEX MolCT PARAMETERS (':Events maybe')`, want: `ODCIIndexAlter(MolCT): chem: :Events wants on|off, got "maybe"`},
+				{sql: `ALTER INDEX MolCT PARAMETERS (':Events off')`},
 			},
 		},
 	}
@@ -240,7 +244,7 @@ func spatialContract(name, indexType string) cartridgeContract {
 		return spatial.NewRect(x1, y1, x2, y2).ToValue()
 	}
 	window := geom(0, 0, 10, 10)
-	return cartridgeContract{
+	c := cartridgeContract{
 		name: name,
 		install: func(db *engine.DB, s *engine.Session) error {
 			return installThen(spatial.Register(db), s, spatial.Setup)
@@ -283,9 +287,24 @@ func spatialContract(name, indexType string) cartridgeContract {
 				want: "ODCIIndexStart(SITESCT): spatial: value nope is not an SDO_GEOMETRY"},
 			{sql: `SELECT gid FROM Sites WHERE Sdo_Relate(geometry, ?, 'mask=BOGUS')`, args: []types.Value{window},
 				want: `ODCIIndexStart(SITESCT): spatial: unknown relate mask "mask=BOGUS"`},
-			{sql: `ALTER INDEX SitesCT PARAMETERS (':Bogus x')`}, // both spatial indextypes define no PARAMETERS
 		},
 	}
+	// The tile index defines no PARAMETERS; the R-tree exactly ':Events on|off'.
+	bad := []string{":Bogus x"}
+	want := spatial.IndexTypeName + " takes no PARAMETERS, got %q"
+	if indexType == spatial.RTreeTypeName {
+		bad = append(bad, ":Event on", ":Events maybe", ":Events on :Bogus")
+		want = "spatial: " + spatial.RTreeTypeName + " takes only ':Events on|off', got %q"
+		c.misuse = append(c.misuse, contractMisuse{sql: `ALTER INDEX SitesCT PARAMETERS (':EVENTS On')`})
+	}
+	for _, p := range bad {
+		c.misuse = append(c.misuse,
+			contractMisuse{sql: fmt.Sprintf(`ALTER INDEX SitesCT PARAMETERS ('%s')`, p),
+				want: "ODCIIndexAlter(SitesCT): " + fmt.Sprintf(want, p)},
+			contractMisuse{sql: fmt.Sprintf(`CREATE INDEX SitesCT2 ON Sites(geometry) INDEXTYPE IS %s PARAMETERS ('%s')`, indexType, p),
+				want: "ODCIIndexCreate(SitesCT2): " + fmt.Sprintf(want, p)})
+	}
+	return c
 }
 
 // installThen chains a Register error with the cartridge's Setup DDL.

@@ -57,6 +57,16 @@ func (ii IndexInfo) DataTableName(suffix string) string {
 	return "DR$" + strings.ToUpper(ii.IndexName) + "$" + strings.ToUpper(suffix)
 }
 
+// NoParams is the PARAMETERS check of ODCIIndexCreate and ODCIIndexAlter
+// for an indextype that defines no directives: any non-blank string is
+// an error, so a misspelt or misplaced directive is not silently ignored.
+func NoParams(indexType, params string) error {
+	if strings.TrimSpace(params) != "" {
+		return fmt.Errorf("%s takes no PARAMETERS, got %q", indexType, params)
+	}
+	return nil
+}
+
 // CompareOp is the relational operator relating a user-operator invocation
 // to a bound value in a predicate: op(...) relop <value>.
 type CompareOp int
